@@ -1,14 +1,16 @@
 //! A counting global allocator for zero-allocation assertions.
 //!
-//! The hot per-window path (`Session::step` → `SeizureApp::step_window`
-//! → `Node::ingest_window_ws`) is designed to perform **zero heap
-//! allocations in the steady state**: every buffer it touches lives in
-//! a per-session [`Workspace`](../scalo_core/workspace/index.html) or a
-//! pre-sized node ring, mirroring the fixed SRAM budget of the SCALO
-//! ASIC. This crate provides the instrument that keeps the claim
-//! honest: a [`CountingAllocator`] that wraps the system allocator and
-//! counts every `alloc`/`realloc`/`dealloc`, so tests and benchmarks
-//! can assert "window 0 allocates (warmup), windows 1..K allocate 0".
+//! The hot per-window path (`Session::step` → the window engine's
+//! pre-pass → `SeizureApp`'s window step → `Node::ingest_block`) is
+//! designed to perform **zero heap allocations in the steady state**:
+//! every buffer it touches lives in a per-session
+//! [`Workspace`](../scalo_core/workspace/index.html), the engine's
+//! fused-lane scratch, or a pre-sized node ring, mirroring the fixed
+//! SRAM budget of the SCALO ASIC. This crate provides the instrument
+//! that keeps the claim honest: a [`CountingAllocator`] that wraps the
+//! system allocator and counts every `alloc`/`realloc`/`dealloc`, so
+//! tests and benchmarks can assert "window 0 allocates (warmup),
+//! windows 1..K allocate 0".
 //!
 //! Install it in a *binary* root (integration test, bench, or bin) —
 //! a `#[global_allocator]` must be unique per binary, so the library
@@ -22,13 +24,17 @@
 //! assert_eq!(counts.heap_ops(), 0, "steady state must not allocate");
 //! ```
 //!
-//! Counters are process-global atomics: [`measure`] observes
-//! allocations from *all* threads, so zero-allocation assertions should
-//! run the measured region single-threaded. Multi-threaded callers (the
-//! fleet benchmarks) use the totals as an aggregate rate
-//! (allocations/window) rather than an exact per-callsite count.
+//! Every heap operation is counted twice: in process-global atomics
+//! ([`counts`], [`measure_process`]) and in the calling thread's own
+//! counters ([`thread_counts`], [`measure`]). Zero-allocation
+//! assertions use the per-thread form, so other threads of the same
+//! binary — a parallel test harness, a logger — cannot leak into the
+//! measured region. Multi-threaded callers (the fleet benchmarks, whose
+//! work runs on pool workers) use the process totals as an aggregate
+//! rate (allocations/window) rather than an exact per-callsite count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -36,41 +42,82 @@ static REALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// One thread's counters. `const`-initialised cells with no destructor,
+/// so touching them from inside the allocator never allocates and
+/// never registers a thread-exit hook.
+struct LocalCounts {
+    allocs: Cell<u64>,
+    reallocs: Cell<u64>,
+    deallocs: Cell<u64>,
+    bytes: Cell<u64>,
+}
+
+thread_local! {
+    static LOCAL: LocalCounts = const {
+        LocalCounts {
+            allocs: Cell::new(0),
+            reallocs: Cell::new(0),
+            deallocs: Cell::new(0),
+            bytes: Cell::new(0),
+        }
+    };
+}
+
+fn bump(cell: fn(&LocalCounts) -> &Cell<u64>, by: u64) {
+    // `try_with` rather than `with`: an allocation during thread
+    // teardown must still be served, just not counted locally.
+    let _ = LOCAL.try_with(|l| {
+        let c = cell(l);
+        c.set(c.get() + by);
+    });
+}
+
+fn count_alloc(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    BYTES.fetch_add(bytes as u64, Relaxed);
+    bump(|l| &l.allocs, 1);
+    bump(|l| &l.bytes, bytes as u64);
+}
+
 /// Pass-through allocator that counts every heap operation.
 ///
 /// Zero-sized and `Copy` so it can be a `static`; all state lives in
-/// process-global atomics (see [`counts`]).
+/// process-global atomics (see [`counts`]) and per-thread cells (see
+/// [`thread_counts`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingAllocator;
 
 // SAFETY: defers entirely to `System`; the counters are lock-free
-// atomics and never allocate.
+// atomics and const-initialised thread-local cells, none of which
+// allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let grown = new_size.saturating_sub(layout.size()) as u64;
         REALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
+        BYTES.fetch_add(grown, Relaxed);
+        bump(|l| &l.reallocs, 1);
+        bump(|l| &l.bytes, grown);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCS.fetch_add(1, Relaxed);
+        bump(|l| &l.deallocs, 1);
         System.dealloc(ptr, layout)
     }
 }
 
-/// A snapshot of the process-wide allocation counters.
+/// A snapshot of allocation counters (process-wide or one thread's).
 ///
 /// Subtract two snapshots ([`AllocCounts::since`]) to attribute heap
 /// traffic to a region of code.
@@ -117,10 +164,34 @@ pub fn counts() -> AllocCounts {
     }
 }
 
+/// Reads the calling thread's counters: heap operations this thread
+/// performed, whatever other threads do meanwhile.
+pub fn thread_counts() -> AllocCounts {
+    LOCAL
+        .try_with(|l| AllocCounts {
+            allocs: l.allocs.get(),
+            reallocs: l.reallocs.get(),
+            deallocs: l.deallocs.get(),
+            bytes: l.bytes.get(),
+        })
+        .unwrap_or_default()
+}
+
 /// Runs `f` and returns its result together with the allocation deltas
-/// it incurred. Counts are process-global: concurrent threads'
-/// allocations are attributed to the measured region too.
+/// it incurred **on the calling thread**. Other threads' allocations
+/// are not attributed to the region, so exact zero-allocation checks
+/// hold under a parallel test harness; work `f` hands to other threads
+/// is not counted either (use [`measure_process`] for that).
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocCounts) {
+    let before = thread_counts();
+    let result = f();
+    (result, thread_counts().since(before))
+}
+
+/// [`measure`] over the process-wide counters: every thread's heap
+/// operations during `f` are attributed to the region. For aggregate
+/// rates over work that runs on several threads (a fleet run).
+pub fn measure_process<R>(f: impl FnOnce() -> R) -> (R, AllocCounts) {
     let before = counts();
     let result = f();
     (result, counts().since(before))
@@ -158,6 +229,35 @@ mod tests {
             }
         });
         assert_eq!(c.heap_ops(), 0, "reusing capacity must not allocate: {c:?}");
+    }
+
+    #[test]
+    fn other_threads_do_not_leak_into_measure() {
+        let (spawned, c) = measure(|| {
+            std::thread::spawn(|| {
+                (0..64u8)
+                    .map(|i| vec![i; 256])
+                    .filter(|v| v.len() == 256)
+                    .count()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(spawned, 64);
+        // The spawn itself allocates on this thread; the 64 vectors the
+        // worker built must not be attributed here.
+        assert!(c.allocs < 64, "worker allocations leaked in: {c:?}");
+        let (_, p) = measure_process(|| {
+            std::thread::spawn(|| {
+                (0..64u8)
+                    .map(|i| vec![i; 256])
+                    .filter(|v| v.len() == 256)
+                    .count()
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(p.allocs >= 64, "process totals see every thread: {p:?}");
     }
 
     #[test]

@@ -936,7 +936,7 @@ fn fleet_trial_with(
         fl.submit(spec)
             .expect("population is sized to fit the budget");
     }
-    let (report, served) = scalo_alloc::measure(|| fl.run());
+    let (report, served) = scalo_alloc::measure_process(|| fl.run());
     let allocs_per_window = served.heap_ops() as f64 / report.windows.max(1) as f64;
     (report, allocs_per_window)
 }

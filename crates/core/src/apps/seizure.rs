@@ -16,6 +16,7 @@
 //! channel BER. Both merely *delay* confirmation to a later window —
 //! quantified by [`PropagationRun::max_delay_ms`].
 
+use crate::cohort::MemberLanes;
 use crate::config::ScaloConfig;
 use crate::node::Node;
 use crate::stim::{StimCommand, StimEngine};
@@ -31,6 +32,7 @@ use scalo_net::packet::{Header, PayloadKind, BROADCAST};
 use scalo_signal::dtw::{dtw_distance_pruned, DtwParams};
 use scalo_signal::stats::z_normalize_into;
 use scalo_trace::Stage;
+use std::time::Instant;
 
 /// Samples per analysis window.
 pub const WINDOW: usize = 120;
@@ -145,28 +147,6 @@ impl RunState {
     }
 }
 
-/// One member's view of a cohort's fused per-window kernel results
-/// ([`crate::cohort`]): per-node hash and detection-feature lanes
-/// computed once for the whole cohort, sliced here by the member's lane
-/// offset. Consuming a view replaces the member's own Sketch and
-/// feature-extraction work; every decision stays bit-identical because
-/// hashers are config-deterministic and the per-channel kernels are
-/// width-independent (a lane's result does not depend on how many other
-/// lanes share the block).
-#[derive(Debug, Clone, Copy)]
-pub struct WindowPre<'a> {
-    /// Fused ingest hashes, indexed `[node][lane]` with one lane per
-    /// (member, electrode) pair.
-    pub hashes: &'a [Vec<SignalHash>],
-    /// Fused detection features, indexed `[node]`, flat
-    /// `lane * n_feat ..` per lane.
-    pub features: &'a [Vec<f64>],
-    /// Features per lane.
-    pub n_feat: usize,
-    /// This member's first lane (member index × electrodes).
-    pub lane0: usize,
-}
-
 /// The application harness.
 #[derive(Debug)]
 pub struct SeizureApp {
@@ -274,6 +254,11 @@ impl SeizureApp {
     /// exhausted; the call is non-blocking in the sense that it does a
     /// bounded slice of work and returns.
     ///
+    /// This runs the window engine's pre-pass ([`crate::cohort`]) over
+    /// this one recording, then the window step on its lanes — the same
+    /// two halves a served session or a fleet cohort runs, minus the
+    /// serving concerns (radio stall, window envelope, deadline).
+    ///
     /// `ws` is the session's reusable scratch: quiet windows (no active
     /// exchange) perform zero heap allocations once nodes and workspace
     /// are warm. Decisions are bit-identical whichever workspace (fresh or
@@ -284,36 +269,41 @@ impl SeizureApp {
         st: &mut RunState,
         ws: &mut Workspace,
     ) -> bool {
-        self.step_window_inner(recording, st, ws, None)
-    }
-
-    /// [`Self::step_window`] consuming a cohort's fused kernel results:
-    /// ingest copies this member's precomputed hash lanes instead of
-    /// hashing, and local detection votes on the precomputed feature
-    /// lanes instead of re-running the FFT feature path. Everything else
-    /// — storage, CCHECK, the confirmation exchange, RNG draws — runs
-    /// exactly as in the self-computing form, so decisions are
-    /// bit-identical.
-    pub fn step_window_pre(
-        &mut self,
-        recording: &MultiSiteRecording,
-        st: &mut RunState,
-        ws: &mut Workspace,
-        pre: &WindowPre<'_>,
-    ) -> bool {
-        self.step_window_inner(recording, st, ws, Some(pre))
-    }
-
-    fn step_window_inner(
-        &mut self,
-        recording: &MultiSiteRecording,
-        st: &mut RunState,
-        ws: &mut Workspace,
-        pre: Option<&WindowPre<'_>>,
-    ) -> bool {
         if st.is_done() {
             return false;
         }
+        let mut engine = std::mem::take(&mut ws.engine);
+        let laps = ws.trace.is_enabled().then(Instant::now);
+        let [gather, sketch, filter] = engine.prepass(
+            self,
+            st.electrodes,
+            st.window * WINDOW,
+            1,
+            |_| recording,
+            laps,
+        );
+        ws.trace.record_charged(&[
+            (Stage::Gather, gather),
+            (Stage::Sketch, sketch),
+            (Stage::Filter, filter),
+        ]);
+        let more = self.step_lanes(recording, st, ws, engine.member(0));
+        ws.engine = engine;
+        more
+    }
+
+    /// The window step proper, consuming one member's lanes of the
+    /// engine's pre-pass: ingest stores the lane hashes, local detection
+    /// votes on the lane features, and the origin's exchange broadcasts
+    /// its ingest hash lanes. Storage, CCHECK, the exchange, and every
+    /// RNG draw run here, per member.
+    pub(crate) fn step_lanes(
+        &mut self,
+        recording: &MultiSiteRecording,
+        st: &mut RunState,
+        ws: &mut Workspace,
+        lanes: MemberLanes<'_>,
+    ) -> bool {
         let k = self.system.node_count();
         let electrodes = st.electrodes;
         let horizon = self.system.config().ccheck_horizon_us;
@@ -335,28 +325,20 @@ impl SeizureApp {
             let now = self.system.now_us();
 
             // 1. Ingest this window on every live node (crashed nodes
-            // neither record nor hash). Each node's electrodes are
-            // scattered into the channel-major block once, then the
-            // batched engine stores and hashes the whole block — the
-            // stored bytes, hashes, and CCHECK state are byte-identical
-            // to the per-electrode loop.
+            // neither record nor hash): the signal windows straight from
+            // the recording, the hashes from the node's lanes of the
+            // engine's batched block hash.
             for node_id in 0..k {
                 if !self.system.is_alive(node_id) {
                     continue;
                 }
-                ws.trace.begin(Stage::Gather);
-                ws.block.reset(electrodes, WINDOW);
-                ws.block
-                    .fill_channels(|e| &recording.nodes[node_id].channels[e][t0..t0 + WINDOW]);
-                ws.trace.end(Stage::Gather);
-                match pre {
-                    Some(p) => self.system.node_mut(node_id).ingest_block_prehashed(
-                        now,
-                        ws,
-                        &p.hashes[node_id][p.lane0..p.lane0 + electrodes],
-                    ),
-                    None => self.system.node_mut(node_id).ingest_block_ws(now, ws),
-                }
+                let channels = &recording.nodes[node_id].channels;
+                self.system.node_mut(node_id).ingest_block(
+                    now,
+                    |e| &channels[e][t0..t0 + WINDOW],
+                    lanes.hashes(node_id),
+                    ws,
+                );
             }
 
             // If the detecting origin crashed, a surviving detector takes
@@ -377,19 +359,12 @@ impl SeizureApp {
                 }
                 let mut votes = 0;
                 for e in 0..electrodes {
-                    let vote = match pre {
-                        Some(p) => {
-                            let f = &p.features[node_id][(p.lane0 + e) * p.n_feat..][..p.n_feat];
-                            ws.trace.begin(Stage::Detect);
-                            let v = self.system.node(node_id).detect_with_features(f);
-                            ws.trace.end(Stage::Detect);
-                            v
-                        }
-                        None => {
-                            let win = &recording.nodes[node_id].channels[e][t0..t0 + WINDOW];
-                            self.system.node(node_id).detect_seizure_traced(win, ws)
-                        }
-                    };
+                    ws.trace.begin(Stage::Detect);
+                    let vote = self
+                        .system
+                        .node(node_id)
+                        .detect_with_features(lanes.features(node_id, e));
+                    ws.trace.end(Stage::Detect);
                     if vote.unwrap_or(false) {
                         votes += 1;
                     }
@@ -402,44 +377,24 @@ impl SeizureApp {
 
             // 3. If an origin has detected, run the exchange this window.
             if let Some((detect_w, origin)) = st.origin_detect {
-                ws.trace.begin(Stage::Gather);
-                ws.block.reset(electrodes, WINDOW);
-                ws.block
-                    .fill_channels(|e| &recording.nodes[origin].channels[e][t0..t0 + WINDOW]);
-                ws.trace.end(Stage::Gather);
-                ws.trace.begin(Stage::Sketch);
-                match self.system.node(origin).hasher() {
-                    scalo_lsh::eval::MeasureHasher::Ssh(hh) => {
-                        hh.hash_block_into(&ws.block, &mut ws.block_hash, &mut ws.hashes)
-                    }
-                    scalo_lsh::eval::MeasureHasher::Emd(hh) => {
-                        ws.hashes.clear();
-                        for e in 0..electrodes {
-                            ws.block.copy_channel_into(e, &mut ws.chan);
-                            ws.hashes.push(hh.hash(&ws.chan));
-                        }
-                    }
-                }
-                // Encoding-error injection (Figure 15a). Hashing draws
-                // nothing from the RNG, so injecting per electrode after
-                // the batched hash consumes the exact draw sequence the
-                // per-electrode loop did.
-                if self.hash_error_rate > 0.0 {
-                    for h in ws.hashes.iter_mut() {
-                        if self.rng.gen::<f64>() < self.hash_error_rate {
-                            for b in &mut h.0 {
-                                *b = self.rng.gen();
-                            }
-                        }
-                    }
-                }
-                ws.trace.end(Stage::Sketch);
-                // Stage the concatenated hash bytes in the workspace
-                // instead of cloning every hash into a temporary.
+                // The origin broadcasts the hashes it ingested this
+                // window: its node's lanes of the engine's block hash.
+                // Stage the concatenated hash bytes in the workspace,
+                // injecting encoding errors (Figure 15a) hash by hash:
+                // one draw per electrode, then one per byte of a hit, in
+                // electrode order (the RNG stream is part of the
+                // decision digest).
+                let origin_hashes = lanes.hashes(origin);
                 ws.trace.begin(Stage::Radio);
                 ws.hash_bytes.clear();
-                for h in &ws.hashes {
+                for h in origin_hashes {
+                    let at = ws.hash_bytes.len();
                     ws.hash_bytes.extend_from_slice(&h.0);
+                    if self.hash_error_rate > 0.0 && self.rng.gen::<f64>() < self.hash_error_rate {
+                        for b in &mut ws.hash_bytes[at..] {
+                            *b = self.rng.gen();
+                        }
+                    }
                 }
                 hcomp_compress_into(&ws.hash_bytes, &mut ws.comp, &mut ws.compressed);
                 let hash_header = Header {
@@ -486,7 +441,7 @@ impl SeizureApp {
                     if !dcomp_decompress_into(&ws.compressed, &mut ws.decompressed) {
                         ws.decompressed.clear();
                     }
-                    let width = ws.hashes.first().map_or(1, |h| h.0.len().max(1));
+                    let width = origin_hashes.first().map_or(1, |h| h.0.len().max(1));
                     let mut used = 0;
                     for chunk in ws.decompressed.chunks(width) {
                         if used < ws.received.len() {

@@ -1,25 +1,28 @@
-//! Cohort-batched session stepping: cross-session kernel fusion.
+//! The window engine: every served window, solo or cohort-batched.
 //!
 //! A fleet serving many patients admits sessions whose per-window work
 //! is *structurally identical* — same deployment shape, same recording
 //! length, same decode cadence and transport — differing only in seed.
-//! Stepping them one at a time re-pays the window's fixed costs once
-//! per session: the modeled radio stall, the hash-kernel setup, the FFT
-//! plan walk. A [`Cohort`] steps all of them through one window at
-//! once:
+//! [`Cohort::step_window`] steps any number of such sessions through one
+//! window at once, and a solo [`Session::step`] is the same engine over
+//! a cohort of one. Per window the engine runs one **pre-pass**:
 //!
 //! * the modeled radio stall ([`SessionSpec::io_stall_us`]) is served
 //!   **once** for the whole cohort — the implant radios are concurrent
 //!   devices, so one wall-clock wait covers every member;
-//! * each implant position's windows are gathered into one fused
-//!   channel-major block of `members × electrodes` lanes and hashed
-//!   with **one** batched SSH walk (`SshHasher::hash_block_into`);
+//! * at each implant position, every member's window is gathered into
+//!   one fused channel-major block of `members × electrodes` lanes and
+//!   hashed with **one** batched SSH walk (`SshHasher::hash_block_into`);
 //! * detection features for every lane run through **one** shared
-//!   [`FftScratch`] (the plan is built once and walked lane by lane);
-//! * only then does each member run its own window step, consuming its
-//!   lanes of the fused results (`Session::step_with_pre`) — storage,
-//!   CCHECK, the confirmation exchange, movement decode, and every RNG
-//!   draw stay per-member.
+//!   [`FftScratch`] (the plan is built once and walked lane by lane,
+//!   straight from the members' recordings).
+//!
+//! Then each member runs its own window step on its lanes of the fused
+//! results (`SeizureApp`'s one window consumer): ingest stores the lane
+//! hashes, detection votes on the lane features, and the origin's
+//! confirmation exchange broadcasts its node's ingest hash lanes instead
+//! of re-gathering and re-hashing the window. Storage, CCHECK, the
+//! exchange, movement decode, and every RNG draw stay per-member.
 //!
 //! Fusion is bitwise-safe by construction: hashers are deterministic
 //! functions of the measure config (no per-session seed, see
@@ -32,15 +35,28 @@
 //! the per-member step. The equivalence tests below (and the fleet's
 //! digest guards) hold cohort-stepped decisions byte-identical to solo
 //! stepping.
+//!
+//! The pre-pass is charged back to the members. Each member's window
+//! opens with the whole radio wait (every member waited all of it) and
+//! its lane share — `1/members` — of the gather, hash, and feature
+//! stages, as [`Stage::RadioWait`] / [`Stage::Gather`] /
+//! [`Stage::Sketch`] / [`Stage::Filter`] spans inside its
+//! [`Stage::Window`] envelope, and the same charge is added to its
+//! [`StepOutcome::wall_us`]. Per-window stage totals therefore equal
+//! wall time, and deadlines are held against the work a window really
+//! cost, in a cohort as in solo serving.
 
-use crate::apps::seizure::{WindowPre, WINDOW};
+use crate::apps::seizure::{SeizureApp, WINDOW};
 use crate::node::Node;
 use crate::session::{Session, SessionSpec, StepOutcome};
+use scalo_data::ieeg::MultiSiteRecording;
 use scalo_lsh::eval::MeasureHasher;
 use scalo_lsh::ssh::BlockHashScratch;
 use scalo_lsh::SignalHash;
 use scalo_signal::block::ChannelBlock;
 use scalo_signal::fft::FftScratch;
+use scalo_trace::Stage;
+use std::time::Instant;
 
 /// The structural identity sessions must share to step as one cohort:
 /// every spec field that shapes the per-window work. Seeds (and ids,
@@ -85,34 +101,90 @@ impl CohortKey {
     }
 }
 
-/// Reusable scratch for stepping one cohort: the fused channel-major
-/// block, the batched hash intermediates, and per-node lane results.
-/// One `Cohort` serves any member count; buffers grow to the largest
-/// cohort seen and are recycled window to window (steady-state cohort
-/// windows allocate nothing).
-#[derive(Debug, Default)]
+/// One window's fused kernel results: per implant position, one hash
+/// and one detection feature vector per lane, lane `m * electrodes + e`
+/// being member `m`'s electrode `e`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowLanes {
+    /// Ingest hashes, indexed `[node][lane]`.
+    hashes: Vec<Vec<SignalHash>>,
+    /// Detection features, indexed `[node]`, `n_feat` per lane.
+    features: Vec<Vec<f64>>,
+    /// Features per lane.
+    n_feat: usize,
+    /// Lanes per member (electrodes per implant).
+    electrodes: usize,
+}
+
+impl WindowLanes {
+    /// Member `m`'s view of the lanes.
+    pub(crate) fn member(&self, m: usize) -> MemberLanes<'_> {
+        MemberLanes {
+            lanes: self,
+            lane0: m * self.electrodes,
+        }
+    }
+}
+
+/// One member's slice of a window's [`WindowLanes`]: what `SeizureApp`'s
+/// window step consumes instead of hashing and featurising on its own.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemberLanes<'a> {
+    lanes: &'a WindowLanes,
+    lane0: usize,
+}
+
+impl<'a> MemberLanes<'a> {
+    /// The member's per-electrode ingest hashes at implant `node`.
+    pub(crate) fn hashes(&self, node: usize) -> &'a [SignalHash] {
+        &self.lanes.hashes[node][self.lane0..self.lane0 + self.lanes.electrodes]
+    }
+
+    /// The member's detection features for electrode `e` at `node`.
+    pub(crate) fn features(&self, node: usize, e: usize) -> &'a [f64] {
+        let n = self.lanes.n_feat;
+        &self.lanes.features[node][(self.lane0 + e) * n..][..n]
+    }
+}
+
+/// What one member is charged for the window's shared pre-pass.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Charge {
+    /// Spans recorded ahead of the member's own work, in pre-pass order:
+    /// the whole radio wait, then its lane share of gather, hash, and
+    /// feature extraction (those three are split out only when a member
+    /// is traced, and zero otherwise).
+    pub(crate) spans: [(Stage, u64); 4],
+    /// Nanoseconds added to the member's wall time: the radio wait plus
+    /// its share of the pre-pass.
+    pub(crate) ns: u64,
+}
+
+/// The window engine's reusable scratch: the fused channel-major block,
+/// the batched hash intermediates, the shared FFT plan, and the fused
+/// lane results. One `Cohort` serves any member count; buffers grow to
+/// the largest cohort seen and are recycled window to window
+/// (steady-state windows allocate nothing). A session's
+/// [`crate::Workspace`] carries one for stepping as a cohort of one;
+/// it stays empty while the session steps inside a fleet cohort, whose
+/// own engine serves it.
+#[derive(Debug, Clone, Default)]
 pub struct Cohort {
     /// `members × electrodes` lanes of the current window, per implant
     /// position in turn.
-    fused: ChannelBlock,
+    block: ChannelBlock,
     /// Batched SSH intermediates for the fused block.
     scratch: BlockHashScratch,
-    /// Fused ingest hashes, indexed `[node][lane]`.
-    hashes: Vec<Vec<SignalHash>>,
-    /// Fused detection features, indexed `[node]`, `n_feat` per lane.
-    features: Vec<Vec<f64>>,
     /// The shared FFT scratch — one plan, walked over every lane.
     fft: FftScratch,
-    /// One gathered lane (contiguous) for per-lane kernels.
-    chan: Vec<f64>,
     /// One lane's feature vector before it lands in the flat buffer.
-    feat_tmp: Vec<f64>,
-    /// Features per lane.
-    n_feat: usize,
+    feat: Vec<f64>,
+    /// The current window's results.
+    lanes: WindowLanes,
 }
 
 impl Cohort {
-    /// An empty cohort scratch; the first window sizes it.
+    /// An empty engine scratch; the first window sizes it.
     pub fn new() -> Self {
         Self::default()
     }
@@ -131,6 +203,16 @@ impl Cohort {
     /// cohort key or window cursor.
     pub fn step_window(&mut self, sessions: &mut [Session], out: &mut Vec<StepOutcome>) {
         out.clear();
+        self.step_each(sessions, |o| out.push(o));
+    }
+
+    /// [`Self::step_window`] handing each member's outcome to `emit`
+    /// (member order) — the form [`Session::step`] runs on itself.
+    pub(crate) fn step_each(
+        &mut self,
+        sessions: &mut [Session],
+        mut emit: impl FnMut(StepOutcome),
+    ) {
         let first = &sessions[0];
         let key = CohortKey::of(first.spec());
         let cursor = first.window();
@@ -139,97 +221,139 @@ impl Cohort {
             assert_eq!(s.window(), cursor, "cohort member cursor drift");
         }
         if first.is_done() {
-            // Lockstep: everyone is done; per-member step() returns the
-            // no-op "done" outcome without touching the recording.
-            for s in sessions.iter_mut() {
-                out.push(s.step());
+            // Lockstep: everyone is done.
+            for s in sessions.iter() {
+                emit(s.finished());
             }
             return;
         }
         let members = sessions.len();
-        let electrodes = key.electrodes;
-        let lanes = members * electrodes;
-        let w = cursor as usize;
-        let t0 = w * WINDOW;
 
         // One wall-clock radio wait covers the whole cohort: the modeled
-        // implant radios stream concurrently. Each member records its
-        // share as an external RadioWait span so traces keep attributing
-        // the wait.
-        let stall_ns = key.io_stall_us * 1_000;
+        // implant radios stream concurrently.
+        let mut start = Instant::now();
+        let mut stall_ns = 0;
         if key.io_stall_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(key.io_stall_us));
+            let slept = Instant::now();
+            stall_ns = (slept - start).as_nanos() as u64;
+            start = slept;
         }
+        let timed = sessions.iter().any(|s| s.trace().is_enabled());
+        let stages = self.prepass(
+            sessions[0].app(),
+            key.electrodes,
+            cursor as usize * WINDOW,
+            members,
+            |m| sessions[m].recording(),
+            timed.then_some(start),
+        );
+        let end = Instant::now();
+        let n = members as u64;
+        let charge = Charge {
+            spans: [
+                (Stage::RadioWait, stall_ns),
+                (Stage::Gather, stages[0] / n),
+                (Stage::Sketch, stages[1] / n),
+                (Stage::Filter, stages[2] / n),
+            ],
+            ns: stall_ns + (end - start).as_nanos() as u64 / n,
+        };
 
-        let Self {
-            fused,
-            scratch,
-            hashes,
-            features,
-            fft,
-            chan,
-            feat_tmp,
-            n_feat,
-        } = self;
-        if hashes.len() < key.nodes {
-            hashes.resize_with(key.nodes, Vec::new);
+        // Fan out: each member consumes its lanes and runs its own
+        // protocol step (storage, CCHECK, exchange, movement, RNG). A
+        // member's own time runs from where the previous one ended.
+        let mut started = end;
+        for (m, s) in sessions.iter_mut().enumerate() {
+            let (out, ended) = s.step_member(self.member(m), &charge, started);
+            started = ended;
+            emit(out);
         }
-        if features.len() < key.nodes {
-            features.resize_with(key.nodes, Vec::new);
-        }
-        for node_id in 0..key.nodes {
-            // Gather every member's window at this implant position into
-            // the fused block: lane `m * electrodes + e` is member m's
-            // electrode e.
-            fused.reset(lanes, WINDOW);
-            for (m, s) in sessions.iter().enumerate() {
-                let rec = s.recording();
-                for e in 0..electrodes {
-                    fused.fill_channel(
-                        m * electrodes + e,
-                        &rec.nodes[node_id].channels[e][t0..t0 + WINDOW],
-                    );
-                }
+    }
+
+    /// The pre-pass for the window starting at sample `t0`: gathers,
+    /// hashes, and featurises every member's window at every implant
+    /// into the fused lanes. `recording(m)` is member `m`'s recording;
+    /// `app` supplies the (config-deterministic) hashers. With `laps`
+    /// set to the pass's start, returns the ns spent gathering, hashing,
+    /// and extracting features (zeros otherwise — untraced windows read
+    /// no clock here).
+    pub(crate) fn prepass<'r>(
+        &mut self,
+        app: &SeizureApp,
+        electrodes: usize,
+        t0: usize,
+        members: usize,
+        recording: impl Fn(usize) -> &'r MultiSiteRecording,
+        mut laps: Option<Instant>,
+    ) -> [u64; 3] {
+        let mut stage_ns = [0u64; 3];
+        let mut lap = |stage: usize| {
+            if let Some(last) = laps.as_mut() {
+                let now = Instant::now();
+                stage_ns[stage] += (now - *last).as_nanos() as u64;
+                *last = now;
             }
+        };
+        let window = |m: usize, node: usize, e: usize| -> &'r [f64] {
+            &recording(m).nodes[node].channels[e][t0..t0 + WINDOW]
+        };
+        let nodes = app.system().node_count();
+        let lanes = members * electrodes;
+        let Self {
+            block,
+            scratch,
+            fft,
+            feat,
+            lanes: out,
+        } = self;
+        out.electrodes = electrodes;
+        if out.hashes.len() < nodes {
+            out.hashes.resize_with(nodes, Vec::new);
+            out.features.resize_with(nodes, Vec::new);
+        }
+        for node in 0..nodes {
+            // Gather: lane `m * electrodes + e` is member m's electrode e.
+            block.reset(lanes, WINDOW);
+            block.fill_channels(|lane| window(lane / electrodes, node, lane % electrodes));
+            lap(0);
             // One batched hash over all members' lanes. Any member's
             // hasher works: they are identical functions of the measure
             // config.
-            let node_hashes = &mut hashes[node_id];
-            match sessions[0].app().system().node(node_id).hasher() {
-                MeasureHasher::Ssh(h) => h.hash_block_into(fused, scratch, node_hashes),
-                // EMDH has no batched entry point; fall back to the
-                // per-lane walk (still one loop for the whole cohort).
+            let hashes = &mut out.hashes[node];
+            match app.system().node(node).hasher() {
+                MeasureHasher::Ssh(h) => h.hash_block_into(block, scratch, hashes),
+                // EMDH has no batched entry point; hash lane by lane
+                // (still one loop for the whole cohort).
                 MeasureHasher::Emd(h) => {
-                    node_hashes.clear();
+                    hashes.clear();
                     for lane in 0..lanes {
-                        fused.copy_channel_into(lane, chan);
-                        node_hashes.push(h.hash(chan));
+                        hashes.push(h.hash(window(lane / electrodes, node, lane % electrodes)));
                     }
                 }
             }
+            lap(1);
             // One FFT-plan walk over every lane for the detection
-            // features.
-            let node_feats = &mut features[node_id];
-            node_feats.clear();
+            // features, read straight from the recordings.
+            let features = &mut out.features[node];
+            features.clear();
             for lane in 0..lanes {
-                fused.copy_channel_into(lane, chan);
-                Node::detection_features_into(chan, fft, feat_tmp);
-                *n_feat = feat_tmp.len();
-                node_feats.extend_from_slice(feat_tmp);
+                Node::detection_features_into(
+                    window(lane / electrodes, node, lane % electrodes),
+                    fft,
+                    feat,
+                );
+                out.n_feat = feat.len();
+                features.extend_from_slice(feat);
             }
+            lap(2);
         }
+        stage_ns
+    }
 
-        // Fan out: each member consumes its lanes and runs its own
-        // protocol step (storage, CCHECK, exchange, movement, RNG).
-        for (m, s) in sessions.iter_mut().enumerate() {
-            let pre = WindowPre {
-                hashes,
-                features,
-                n_feat: *n_feat,
-                lane0: m * electrodes,
-            };
-            out.push(s.step_with_pre(&pre, stall_ns));
-        }
+    /// Member `m`'s lanes of the last pre-pass.
+    pub(crate) fn member(&self, m: usize) -> MemberLanes<'_> {
+        self.lanes.member(m)
     }
 }
 

@@ -17,9 +17,10 @@
 //!   suspicion/eviction state machine driving graceful degradation;
 //! * [`session`] — resumable per-patient serving sessions (the unit of
 //!   work the `scalo-fleet` serving layer schedules);
-//! * [`cohort`] — cohort-batched stepping: structurally identical
-//!   sessions share one radio stall, one fused block hash, and one
-//!   FFT-plan walk per window, with per-session decisions unchanged;
+//! * [`cohort`] — the window engine every served window runs through:
+//!   structurally identical sessions (a solo session is a cohort of
+//!   one) share one radio stall, one fused block hash, and one FFT-plan
+//!   walk per window, with per-session decisions unchanged;
 //! * [`plan`] — query → executable window-plan compilation: typed
 //!   validation, kernel binding, and the ILP admission budget;
 //! * [`catalog`] — named query registry with cached compiled plans and

@@ -147,231 +147,99 @@ impl Node {
     /// callers decide whether that is fatal (a query) or just a
     /// non-vote (the propagation protocol).
     pub fn detect_seizure(&self, window: &[f64]) -> Result<bool, NodeError> {
-        self.detect_seizure_ws(window, &mut FftScratch::new(), &mut Vec::new())
-    }
-
-    /// [`Node::detect_seizure`] using caller-provided scratch. Same
-    /// decision bit-for-bit; allocation-free once the buffers are warm.
-    pub fn detect_seizure_ws(
-        &self,
-        window: &[f64],
-        fft: &mut FftScratch,
-        features: &mut Vec<f64>,
-    ) -> Result<bool, NodeError> {
-        let detector = self
-            .detector
-            .as_ref()
-            .ok_or(NodeError::DetectorMissing { node: self.id })?;
-        Self::detection_features_into(window, fft, features);
-        Ok(detector.predict(features))
-    }
-
-    /// [`Node::detect_seizure_ws`] with the feature extraction and the
-    /// SVM vote recorded as separate [`Stage::Filter`] / [`Stage::Detect`]
-    /// spans on the workspace recorder. Same decision bit-for-bit.
-    pub fn detect_seizure_traced(
-        &self,
-        window: &[f64],
-        ws: &mut Workspace,
-    ) -> Result<bool, NodeError> {
-        let detector = self
-            .detector
-            .as_ref()
-            .ok_or(NodeError::DetectorMissing { node: self.id })?;
-        ws.trace.begin(Stage::Filter);
-        Self::detection_features_into(window, &mut ws.fft, &mut ws.features);
-        ws.trace.end(Stage::Filter);
-        ws.trace.begin(Stage::Detect);
-        let vote = detector.predict(&ws.features);
-        ws.trace.end(Stage::Detect);
-        Ok(vote)
-    }
-
-    /// Ingests one electrode window: stores the signal, hashes it, and
-    /// records the hash both in the NVM hash partition and the CCHECK
-    /// SRAM.
-    pub fn ingest_window(
-        &mut self,
-        electrode: usize,
-        timestamp_us: u64,
-        window: &[f64],
-    ) -> SignalHash {
-        let mut ws = Workspace::new();
-        self.ingest_window_ws(electrode, timestamp_us, window, &mut ws);
-        ws.hash
-    }
-
-    /// [`Node::ingest_window`] through a [`Workspace`]: quantised bytes,
-    /// hash intermediates, and the hash itself land in reused buffers, and
-    /// the NVM/SRAM stores recycle their evicted records' allocations.
-    /// Stored records and the resulting hash (left in `ws.hash`) are
-    /// byte-identical to the allocating form's; zero heap allocations once
-    /// the node is prepared ([`Node::prepare_steady_state`]) and the
-    /// workspace is warm.
-    pub fn ingest_window_ws(
-        &mut self,
-        electrode: usize,
-        timestamp_us: u64,
-        window: &[f64],
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(window.len(), self.window_samples, "window length");
-        ws.trace.begin(Stage::StorageWrite);
-        ws.quantized.clear();
-        for &x in window {
-            ws.quantized
-                .extend_from_slice(&((x * 8_192.0) as i16).to_le_bytes());
-        }
-        self.storage.get_mut(PartitionKind::Signals).append_bytes(
-            timestamp_us,
-            electrode as u32,
-            &ws.quantized,
-        );
-        ws.trace.end(Stage::StorageWrite);
-        ws.trace.begin(Stage::Sketch);
-        match &self.hasher {
-            MeasureHasher::Ssh(h) => h.hash_into(window, &mut ws.hash_scratch, &mut ws.hash),
-            // The EMDH pipeline has no scratch entry point; the default
-            // deployments hash via SSH, so this branch stays allocating.
-            MeasureHasher::Emd(h) => ws.hash = h.hash(window),
-        }
-        ws.trace.end(Stage::Sketch);
-        ws.trace.begin(Stage::StorageWrite);
-        self.storage.get_mut(PartitionKind::Hashes).append_bytes(
-            timestamp_us,
-            electrode as u32,
-            &ws.hash.0,
-        );
-        self.ccheck.record_copy(electrode, timestamp_us, &ws.hash);
-        ws.trace.end(Stage::StorageWrite);
-    }
-
-    /// [`Node::ingest_window_ws`] batched over every electrode at once:
-    /// the caller stages the window's channel-major block in `ws.block`
-    /// (one channel per electrode) and this ingests all of them —
-    /// quantised signal appends, one fused block hash, then hash appends
-    /// and CCHECK staging, each phase in electrode order. Per-electrode
-    /// hashes are left in `ws.hashes`.
-    ///
-    /// Stored records, CCHECK state, and hashes are byte-identical to
-    /// looping [`Node::ingest_window_ws`] over the electrodes: the NVM
-    /// partitions are independent, each sees its appends in the same
-    /// order, and nothing reads them mid-loop — phase-batching reorders
-    /// work *across* stores, never within one.
-    pub fn ingest_block_ws(&mut self, timestamp_us: u64, ws: &mut Workspace) {
-        let electrodes = ws.block.channels();
-        assert_eq!(ws.block.samples(), self.window_samples, "window length");
-        ws.trace.begin(Stage::StorageWrite);
-        for e in 0..electrodes {
-            ws.quantized.clear();
-            ws.block.copy_channel_into(e, &mut ws.chan);
-            for &x in &ws.chan {
-                ws.quantized
-                    .extend_from_slice(&((x * 8_192.0) as i16).to_le_bytes());
-            }
-            self.storage.get_mut(PartitionKind::Signals).append_bytes(
-                timestamp_us,
-                e as u32,
-                &ws.quantized,
-            );
-        }
-        ws.trace.end(Stage::StorageWrite);
-        ws.trace.begin(Stage::Sketch);
-        match &self.hasher {
-            MeasureHasher::Ssh(h) => {
-                h.hash_block_into(&ws.block, &mut ws.block_hash, &mut ws.hashes)
-            }
-            // The EMDH pipeline has no batched entry point; the default
-            // deployments hash via SSH, so this branch stays per-channel
-            // (and allocating), exactly like the legacy path.
-            MeasureHasher::Emd(h) => {
-                ws.hashes.clear();
-                for e in 0..electrodes {
-                    ws.block.copy_channel_into(e, &mut ws.chan);
-                    ws.hashes.push(h.hash(&ws.chan));
-                }
-            }
-        }
-        ws.trace.end(Stage::Sketch);
-        ws.trace.begin(Stage::StorageWrite);
-        for (e, hash) in ws.hashes.iter().enumerate() {
-            self.storage.get_mut(PartitionKind::Hashes).append_bytes(
-                timestamp_us,
-                e as u32,
-                &hash.0,
-            );
-            self.ccheck.record_copy(e, timestamp_us, hash);
-        }
-        ws.trace.end(Stage::StorageWrite);
-    }
-
-    /// [`Node::ingest_block_ws`] with the Sketch phase precomputed by the
-    /// cohort engine ([`crate::cohort`]): quantised signal appends still
-    /// run from `ws.block` exactly as in the batched form, but the
-    /// per-electrode hashes arrive in `hashes` — this node's lanes of a
-    /// fused cross-session block hash — and are copied into `ws.hashes`
-    /// instead of recomputed. Hashers are config-deterministic (no
-    /// per-node or per-session seed) and every per-channel kernel is
-    /// width-independent, so the fused lanes are bit-identical to what
-    /// [`Node::ingest_block_ws`] would have computed: stored records and
-    /// CCHECK state match byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hashes` does not hold one hash per block channel.
-    pub fn ingest_block_prehashed(
-        &mut self,
-        timestamp_us: u64,
-        ws: &mut Workspace,
-        hashes: &[SignalHash],
-    ) {
-        let electrodes = ws.block.channels();
-        assert_eq!(ws.block.samples(), self.window_samples, "window length");
-        assert_eq!(hashes.len(), electrodes, "one hash per electrode");
-        ws.trace.begin(Stage::StorageWrite);
-        for e in 0..electrodes {
-            ws.quantized.clear();
-            ws.block.copy_channel_into(e, &mut ws.chan);
-            for &x in &ws.chan {
-                ws.quantized
-                    .extend_from_slice(&((x * 8_192.0) as i16).to_le_bytes());
-            }
-            self.storage.get_mut(PartitionKind::Signals).append_bytes(
-                timestamp_us,
-                e as u32,
-                &ws.quantized,
-            );
-        }
-        ws.trace.end(Stage::StorageWrite);
-        // The hashes keep landing in `ws.hashes` (slots recycled) so the
-        // workspace contract matches the self-hashing form.
-        ws.hashes.resize_with(electrodes, || SignalHash(Vec::new()));
-        for (slot, h) in ws.hashes.iter_mut().zip(hashes) {
-            slot.0.clear();
-            slot.0.extend_from_slice(&h.0);
-        }
-        ws.trace.begin(Stage::StorageWrite);
-        for (e, hash) in ws.hashes.iter().enumerate() {
-            self.storage.get_mut(PartitionKind::Hashes).append_bytes(
-                timestamp_us,
-                e as u32,
-                &hash.0,
-            );
-            self.ccheck.record_copy(e, timestamp_us, hash);
-        }
-        ws.trace.end(Stage::StorageWrite);
+        self.detect_with_features(&Self::detection_features(window))
     }
 
     /// The SVM vote on an already-extracted feature vector — the
-    /// detection tail of [`Node::detect_seizure_ws`] when the cohort
-    /// engine computed the features in a fused lane walk. Same decision
-    /// bit-for-bit for the same features.
+    /// detection tail of [`Node::detect_seizure`] when the window
+    /// engine ([`crate::cohort`]) computed the features in its fused
+    /// lane walk. Same decision bit-for-bit for the same features.
     pub fn detect_with_features(&self, features: &[f64]) -> Result<bool, NodeError> {
         let detector = self
             .detector
             .as_ref()
             .ok_or(NodeError::DetectorMissing { node: self.id })?;
         Ok(detector.predict(features))
+    }
+
+    /// Ingests one electrode window: stores the signal, hashes it, and
+    /// records the hash both in the NVM hash partition and the CCHECK
+    /// SRAM. The allocating single-electrode form, for callers outside
+    /// the window engine.
+    pub fn ingest_window(
+        &mut self,
+        electrode: usize,
+        timestamp_us: u64,
+        window: &[f64],
+    ) -> SignalHash {
+        assert_eq!(window.len(), self.window_samples, "window length");
+        let hash = match &self.hasher {
+            MeasureHasher::Ssh(h) => h.hash(window),
+            MeasureHasher::Emd(h) => h.hash(window),
+        };
+        self.store(electrode, timestamp_us, window, &hash, &mut Vec::new());
+        hash
+    }
+
+    /// Ingests one window on every electrode: stores each electrode's
+    /// quantised signal (`window(e)`), then its hash — `hashes[e]`, this
+    /// node's lanes of the window engine's batched block hash — in the
+    /// NVM hash partition and the CCHECK SRAM. The quantised bytes stage
+    /// in `ws.quantized`; zero heap allocations once the node is
+    /// prepared ([`Node::prepare_steady_state`]) and the workspace is
+    /// warm.
+    ///
+    /// Hashers are config-deterministic (no per-node or per-session
+    /// seed) and every per-channel kernel is width-independent, so the
+    /// engine's lanes are bit-identical to hashing each window here:
+    /// stored records and CCHECK state match [`Node::ingest_window`]
+    /// byte for byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window has the wrong length.
+    pub fn ingest_block<'a>(
+        &mut self,
+        timestamp_us: u64,
+        window: impl Fn(usize) -> &'a [f64],
+        hashes: &[SignalHash],
+        ws: &mut Workspace,
+    ) {
+        ws.trace.begin(Stage::StorageWrite);
+        for (e, hash) in hashes.iter().enumerate() {
+            self.store(e, timestamp_us, window(e), hash, &mut ws.quantized);
+        }
+        ws.trace.end(Stage::StorageWrite);
+    }
+
+    /// Appends one electrode's quantised window and hash to the NVM
+    /// partitions and stages the hash in CCHECK. The partitions are
+    /// independent stores, so the order electrodes interleave in across
+    /// them never changes what any one of them holds.
+    fn store(
+        &mut self,
+        electrode: usize,
+        timestamp_us: u64,
+        window: &[f64],
+        hash: &SignalHash,
+        quantized: &mut Vec<u8>,
+    ) {
+        assert_eq!(window.len(), self.window_samples, "window length");
+        quantized.clear();
+        for &x in window {
+            quantized.extend_from_slice(&((x * 8_192.0) as i16).to_le_bytes());
+        }
+        self.storage.get_mut(PartitionKind::Signals).append_bytes(
+            timestamp_us,
+            electrode as u32,
+            quantized,
+        );
+        self.storage.get_mut(PartitionKind::Hashes).append_bytes(
+            timestamp_us,
+            electrode as u32,
+            &hash.0,
+        );
+        self.ccheck.record_copy(electrode, timestamp_us, hash);
     }
 
     /// Retrieves a stored signal window (dequantised).
@@ -583,27 +451,34 @@ mod tests {
 
     #[test]
     fn block_ingest_matches_per_electrode_ingest() {
-        // The batched entry point must leave byte-identical NVM records
-        // and CCHECK state: same stored windows, same hashes, same
-        // collision responses, across several windows of drift.
+        // The engine's entry point, fed batched block hashes, must leave
+        // byte-identical NVM records and CCHECK state: same stored
+        // windows, same hashes, same collision responses, across several
+        // windows of drift.
         let cfg = ScaloConfig::default().with_nodes(1).with_electrodes(4);
         let mut per = Node::new(0, &cfg);
         let mut batched = Node::new(0, &cfg);
-        let mut ws_per = Workspace::new();
-        let mut ws_blk = Workspace::new();
+        let mut ws = Workspace::new();
+        let mut block = scalo_signal::block::ChannelBlock::new();
+        let mut scratch = scalo_lsh::ssh::BlockHashScratch::new();
+        let mut hashes = Vec::new();
         for w in 0..5u64 {
             let ts = 4_000 * (w + 1);
             let windows: Vec<Vec<f64>> = (0..4)
                 .map(|e| test_window(w as f64 + e as f64 * 0.7))
                 .collect();
+            let mut solo_hashes = Vec::new();
             for (e, win) in windows.iter().enumerate() {
-                per.ingest_window_ws(e, ts, win, &mut ws_per);
+                solo_hashes.push(per.ingest_window(e, ts, win));
             }
-            ws_blk.block.reset(4, 120);
-            for (e, win) in windows.iter().enumerate() {
-                ws_blk.block.fill_channel(e, win);
+            block.reset(4, 120);
+            block.fill_channels(|e| &windows[e]);
+            match batched.hasher() {
+                MeasureHasher::Ssh(h) => h.hash_block_into(&block, &mut scratch, &mut hashes),
+                MeasureHasher::Emd(h) => hashes = windows.iter().map(|x| h.hash(x)).collect(),
             }
-            batched.ingest_block_ws(ts, &mut ws_blk);
+            assert_eq!(hashes, solo_hashes, "window {w}: batched hash lanes");
+            batched.ingest_block(ts, |e| &windows[e], &hashes, &mut ws);
             for e in 0..4 {
                 assert_eq!(
                     per.stored_window(e, ts),

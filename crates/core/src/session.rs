@@ -13,7 +13,8 @@
 //! makes fleet execution reproducible on any worker count.
 
 use crate::apps::movement;
-use crate::apps::seizure::{PropagationRun, RunState, SeizureApp, WindowPre, WINDOW_US};
+use crate::apps::seizure::{PropagationRun, RunState, SeizureApp, WINDOW_US};
+use crate::cohort::{Charge, MemberLanes};
 use crate::config::ScaloConfig;
 use crate::plan::{PlanConfig, PlanError, ProgramPlan};
 use crate::snapshot::{fnv1a, Fnv64, SessionSnapshot, SnapshotError};
@@ -369,14 +370,14 @@ impl Session {
         &self.spec
     }
 
-    /// The session's synthetic recording — the cohort engine reads it to
+    /// The session's synthetic recording — the window engine reads it to
     /// gather this member's lanes into the fused block.
     pub(crate) fn recording(&self) -> &MultiSiteRecording {
         &self.recording
     }
 
-    /// The application harness (the cohort engine borrows a member's
-    /// hasher; all members' hashers are identical by construction).
+    /// The application harness (the window engine borrows a member's
+    /// hashers; all members' hashers are identical by construction).
     pub(crate) fn app(&self) -> &SeizureApp {
         &self.app
     }
@@ -503,61 +504,50 @@ impl Session {
     /// mix when due) and accounts the step against the deadline. The
     /// call does a bounded slice of work and returns; wall-clock timing
     /// feeds metrics only, never decisions.
+    ///
+    /// This is the window engine ([`crate::cohort::Cohort`]) over a
+    /// cohort of one, its scratch borrowed from the session's own
+    /// workspace for the call: the radio stall, the pre-pass, and the
+    /// window step are the ones a fleet cohort runs, so decisions are
+    /// bit-identical whichever way a session is stepped.
     pub fn step(&mut self) -> StepOutcome {
-        self.step_inner(None)
+        let mut engine = std::mem::take(&mut self.workspace.engine);
+        let mut out = None;
+        engine.step_each(std::slice::from_mut(self), |o| out = Some(o));
+        self.workspace.engine = engine;
+        out.expect("a cohort of one steps one member")
     }
 
-    /// [`Self::step`] as one member of a cohort ([`crate::cohort`]): the
-    /// fused kernel results in `pre` replace this session's own Sketch
-    /// and feature-extraction work, and the modeled radio stall — served
-    /// once for the whole cohort before any member stepped — is recorded
-    /// here as an externally timed [`Stage::RadioWait`] span
-    /// (`stall_ns`, 0 when the spec has no stall) rather than slept
-    /// again. Decisions are bit-identical to [`Self::step`]; wall-clock
-    /// accounting covers only this member's own compute, so per-step
-    /// deadlines measure work, not the shared wait.
-    pub(crate) fn step_with_pre(&mut self, pre: &WindowPre<'_>, stall_ns: u64) -> StepOutcome {
-        self.step_inner(Some((pre, stall_ns)))
+    /// The no-op outcome of stepping a finished session.
+    pub(crate) fn finished(&self) -> StepOutcome {
+        StepOutcome {
+            window: self.state.window(),
+            wall_us: 0,
+            deadline_missed: false,
+            done: true,
+        }
     }
 
-    fn step_inner(&mut self, pre: Option<(&WindowPre<'_>, u64)>) -> StepOutcome {
+    /// One member's part of an engine window: opens the window envelope
+    /// with the member's `charge` for the shared pre-pass, runs the
+    /// application's window step on its `lanes`, then the movement mix
+    /// when due. Wall time runs from `started` (where the engine's
+    /// previous piece of work ended) plus the charge; returns the
+    /// outcome and when this member's work ended.
+    pub(crate) fn step_member(
+        &mut self,
+        lanes: MemberLanes<'_>,
+        charge: &Charge,
+        started: Instant,
+    ) -> (StepOutcome, Instant) {
         let window = self.state.window();
-        if self.state.is_done() {
-            return StepOutcome {
-                window,
-                wall_us: 0,
-                deadline_missed: false,
-                done: true,
-            };
-        }
-        let t0 = Instant::now();
         self.workspace.trace.set_window(window as u32);
-        self.workspace.trace.begin(Stage::Window);
-        match pre {
-            None => {
-                if self.spec.io_stall_us > 0 {
-                    self.workspace.trace.begin(Stage::RadioWait);
-                    std::thread::sleep(std::time::Duration::from_micros(self.spec.io_stall_us));
-                    self.workspace.trace.end(Stage::RadioWait);
-                }
-            }
-            Some((_, stall_ns)) => {
-                if stall_ns > 0 {
-                    self.workspace
-                        .trace
-                        .record_external(Stage::RadioWait, stall_ns);
-                }
-            }
-        }
-        let more = match pre {
-            Some((p, _)) => {
-                self.app
-                    .step_window_pre(&self.recording, &mut self.state, &mut self.workspace, p)
-            }
-            None => self
-                .app
-                .step_window(&self.recording, &mut self.state, &mut self.workspace),
-        };
+        self.workspace
+            .trace
+            .begin_charged(Stage::Window, &charge.spans);
+        let more =
+            self.app
+                .step_lanes(&self.recording, &mut self.state, &mut self.workspace, lanes);
         if let Some(ms) = &self.movement {
             let every = self.spec.movement_every;
             if every > 0 && self.state.window().is_multiple_of(every) {
@@ -594,17 +584,19 @@ impl Session {
             }
         }
         self.workspace.trace.end(Stage::Window);
-        let wall_us = t0.elapsed().as_micros() as u64;
+        let ended = Instant::now();
+        let wall_us = ((ended - started).as_nanos() as u64 + charge.ns) / 1_000;
         let deadline_missed = wall_us > self.spec.step_deadline_us;
         self.steps += 1;
         self.wall_us += wall_us;
         self.deadline_misses += u64::from(deadline_missed);
-        StepOutcome {
+        let out = StepOutcome {
             window,
             wall_us,
             deadline_missed,
             done: !more,
-        }
+        };
+        (out, ended)
     }
 
     /// The session's span recorder (disabled unless the spec set a

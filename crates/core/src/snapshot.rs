@@ -35,51 +35,9 @@ pub const SNAPSHOT_VERSION: u16 = 2;
 /// Incremental 64-bit FNV-1a hasher, allocation-free. Used for the
 /// per-window step digests, the snapshot checksum, and the WAL record
 /// checksums — one hash everywhere keeps the digest chain auditable.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes into the hash.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds one little-endian `u64` into the hash.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Folds an `f64`'s IEEE bit pattern into the hash.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The hash of everything written so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot FNV-1a of a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_bytes(bytes);
-    h.finish()
-}
+/// The implementation is `scalo-storage`'s (the layer below), re-exported
+/// here where the session code and its callers look for it.
+pub use scalo_storage::wal_fnv::{fnv1a, Fnv64};
 
 /// Why a snapshot could not be decoded or a session could not be
 /// restored from one.
@@ -570,12 +528,5 @@ mod tests {
                 "cut at {cut} must not decode"
             );
         }
-    }
-
-    #[test]
-    fn fnv_matches_reference() {
-        // FNV-1a of the empty string and of "a" (published vectors).
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

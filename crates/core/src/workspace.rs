@@ -6,16 +6,19 @@
 //! pipeline (ingest → hash → detect → heartbeat) needs, so after a warm-up
 //! window the hot path performs zero heap allocations. A
 //! [`crate::session::Session`] owns one workspace for its lifetime; fleet
-//! workers keep it attached to the session across quantum switches.
+//! workers keep it attached to the session across quantum switches. The
+//! window engine's own scratch — the fused block, batched hash and FFT
+//! intermediates, and the lane results — is the workspace's
+//! [`Cohort`] when the session steps as a cohort of one.
 //!
 //! The `*_into` APIs the workspace feeds are bit-identical to their
 //! allocating counterparts, so decision digests are unchanged whichever
 //! entry point runs.
 
-use scalo_lsh::ssh::{BlockHashScratch, HashScratch};
+use crate::cohort::Cohort;
+use scalo_lsh::ssh::BlockHashScratch;
 use scalo_lsh::SignalHash;
 use scalo_net::compress::CompressScratch;
-use scalo_signal::block::ChannelBlock;
 use scalo_signal::dtw::DtwScratch;
 use scalo_signal::fft::FftScratch;
 use scalo_signal::simd::SimdLevel;
@@ -27,15 +30,17 @@ use scalo_trace::Recorder;
 /// clears or re-shapes before writing.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
+    /// The window engine's scratch for stepping this session as a cohort
+    /// of one ([`crate::session::Session::step`],
+    /// [`crate::apps::seizure::SeizureApp::step_window`]); empty while a
+    /// fleet cohort's engine steps the session instead.
+    pub(crate) engine: Cohort,
     /// Quantised (i16 LE) window bytes staged for the NVM signal ring.
     pub quantized: Vec<u8>,
-    /// SSH pipeline intermediates (z-normalised window, sketch bits, pools).
-    pub hash_scratch: HashScratch,
-    /// The current window's hash.
-    pub hash: SignalHash,
-    /// FFT intermediates for the detection feature path.
+    /// FFT intermediates for compiled-plan feature steps
+    /// ([`crate::plan::WindowPlan::execute_window`]).
     pub fft: FftScratch,
-    /// Detection feature vector (band powers + RMS).
+    /// Feature vector of compiled-plan steps.
     pub features: Vec<f64>,
     /// DTW band intermediates for exact confirmation.
     pub dtw: DtwScratch,
@@ -57,14 +62,12 @@ pub struct Workspace {
     /// Broadcast scratch (wire frame, per-receiver arrivals, payload
     /// slots) for the exchange-phase packet traffic.
     pub net: crate::system::BroadcastScratch,
-    /// Channel-major block of the current window across all electrodes —
-    /// the batched kernel engine's working set.
-    pub block: ChannelBlock,
-    /// Batched SSH intermediates for hashing the whole block at once.
+    /// Batched SSH intermediates for compiled-plan hash steps.
     pub block_hash: BlockHashScratch,
-    /// Per-electrode hashes of the current block (slots recycled).
+    /// Per-channel hashes of a compiled-plan hash step (slots recycled).
     pub hashes: Vec<SignalHash>,
-    /// One gathered channel (contiguous) for per-channel kernels.
+    /// One gathered channel (contiguous) for compiled-plan per-channel
+    /// kernels.
     pub chan: Vec<f64>,
     /// Received hashes parsed from a hash packet (slots recycled).
     pub received: Vec<SignalHash>,
@@ -87,9 +90,9 @@ pub struct Workspace {
     /// branch-and-return no-op — by default; when enabled its ring is
     /// pre-allocated, so recording spans obeys the same zero-allocation
     /// discipline as the rest of the workspace. It lives here so every
-    /// layer the window pipeline passes through (`ingest_window_ws`,
-    /// `detect_seizure_traced`, the exchange) can emit spans without a
-    /// new parameter on every hot-path signature.
+    /// layer the window pipeline passes through (`Node::ingest_block`,
+    /// detection, the exchange) can emit spans without a new parameter
+    /// on every hot-path signature.
     pub trace: Recorder,
     /// The SIMD dispatch level captured when this workspace was built.
     /// Every kernel scratch constructed alongside it (DTW, block stats,

@@ -3,8 +3,9 @@
 //! or overflowing, and the spans an enabled recorder captures obey the
 //! balance and attribution invariants `scalo-trace` promises.
 
+use scalo_core::cohort::Cohort;
 use scalo_core::session::{Session, SessionSpec};
-use scalo_trace::{attribute, deadline_miss_report, Stage};
+use scalo_trace::{attribute, deadline_miss_report, Stage, WindowBreakdown};
 
 fn spec(trace_capacity: usize) -> SessionSpec {
     SessionSpec::new(1, 0xbeef)
@@ -41,10 +42,50 @@ fn untraced_session_has_no_spans() {
 
 /// Every begin has an end across a full served session: the recorder
 /// finishes balanced, and per-window attribution of the real span
-/// stream accounts every nanosecond of every window's wall time.
+/// stream accounts every nanosecond of every window's wall time — for a
+/// solo session and for each member of a cohort, whose windows carry
+/// their charged share of the fused pre-pass.
 #[test]
 fn served_session_spans_are_balanced_and_attributable() {
-    let mut s = run(spec(256 * 1024));
+    assert_balanced_and_attributable(&mut run(spec(256 * 1024)));
+
+    // Three shape twins stepped as one cohort, with a modeled radio
+    // wait the engine serves once for all of them.
+    const STALL_US: u64 = 200;
+    let mut members: Vec<Session> = (0..3)
+        .map(|i| {
+            let mut s = spec(256 * 1024).with_io_stall_us(STALL_US);
+            s.id = 10 + i;
+            s.seed = 0xbeef + 7 * i;
+            Session::new(s)
+        })
+        .collect();
+    let mut cohort = Cohort::new();
+    let mut out = Vec::new();
+    loop {
+        cohort.step_window(&mut members, &mut out);
+        if out.iter().all(|o| o.done) {
+            break;
+        }
+        // The shared wait is part of every member's step.
+        assert!(out.iter().all(|o| o.wall_us >= STALL_US), "{out:?}");
+    }
+    for s in members.iter_mut() {
+        let breakdowns = assert_balanced_and_attributable(s);
+        // Every member waited the whole stall, inside its envelope.
+        for b in &breakdowns {
+            assert!(
+                b.stage_ns(Stage::RadioWait) >= STALL_US * 1_000,
+                "session {} window {}: radio wait {} ns",
+                s.id(),
+                b.window,
+                b.stage_ns(Stage::RadioWait)
+            );
+        }
+    }
+}
+
+fn assert_balanced_and_attributable(s: &mut Session) -> Vec<WindowBreakdown> {
     let rec = s.trace();
     assert_eq!(rec.unbalanced(), 0, "begin/end mismatch on the hot path");
     assert_eq!(rec.open_depth(), 0, "a span was left open");
@@ -62,8 +103,10 @@ fn served_session_spans_are_balanced_and_attributable() {
             b.window
         );
     }
-    // The pipeline's compute stages all show up somewhere in the run.
+    // The pipeline's compute stages all show up somewhere in the run —
+    // the pre-pass's gather, hash, and feature stages included.
     for stage in [
+        Stage::Gather,
         Stage::Filter,
         Stage::Detect,
         Stage::Sketch,
@@ -87,6 +130,7 @@ fn served_session_spans_are_balanced_and_attributable() {
     let lax = deadline_miss_report(&breakdowns, u64::MAX);
     assert!(lax.misses.is_empty());
     assert!(!lax.stage_skews.is_empty());
+    breakdowns
 }
 
 /// `take_trace_events` drains: a second call returns nothing, and the

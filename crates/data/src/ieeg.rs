@@ -195,7 +195,11 @@ pub fn generate(config: &IeegConfig) -> MultiSiteRecording {
             let elec_amp = 0.8 + 0.4 * rng.gen::<f64>();
 
             let mut ch = Vec::with_capacity(samples);
-            for t in 0..samples {
+            // Consecutive seizure samples just before `t`: how far into
+            // the current event the ramp is, kept as a running count
+            // rather than re-scanned back from every sample.
+            let mut into_event = 0usize;
+            for (t, &seizing) in seizure_mask.iter().enumerate() {
                 let time_s = t as f64 / SAMPLE_RATE_HZ;
                 let mut v = 0.0;
                 for &(f, amp, phase) in &bank {
@@ -204,13 +208,15 @@ pub fn generate(config: &IeegConfig) -> MultiSiteRecording {
                 v *= config.background_amp / 2.0;
                 v += config.background_amp * 0.2 * (rng.gen::<f64>() - 0.5);
 
-                if seizure_mask[t] {
+                if seizing {
                     // Ramp amplitude over the first 100 ms of the event.
                     let ramp_len = (0.1 * SAMPLE_RATE_HZ) as usize;
-                    let into_event = seizure_mask[..t].iter().rev().take_while(|&&m| m).count();
                     let ramp = (into_event as f64 / ramp_len as f64).min(1.0);
                     let phase = ((time_s + jitter) * config.seizure_hz).fract();
                     v += config.seizure_amp * elec_amp * ramp * spike_wave(phase);
+                    into_event += 1;
+                } else {
+                    into_event = 0;
                 }
                 ch.push(v);
             }
@@ -249,6 +255,23 @@ mod tests {
         assert_eq!(rec.nodes.len(), 2);
         assert_eq!(rec.nodes[0].num_channels(), 4);
         assert_eq!(rec.nodes[0].num_samples(), 24_000);
+    }
+
+    /// The generated samples, bit for bit, at a shape with a long
+    /// seizure ramp: pins the ramp bookkeeping to the recordings every
+    /// recorded decision digest was computed from.
+    #[test]
+    fn recording_bits_are_pinned() {
+        let rec = generate(&small_config());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for node in &rec.nodes {
+            for ch in &node.channels {
+                for x in ch {
+                    h = (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0x4030_c270_3c46_a162, "{h:#018x}");
     }
 
     #[test]

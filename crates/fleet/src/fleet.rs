@@ -8,6 +8,7 @@ use crate::pool::{self, PoolReport, Quantum, WorkUnit};
 use scalo_core::cohort::{Cohort, CohortKey};
 use scalo_core::plan::{resolve_budget, PlanConfig, PlanError, ProgramPlan};
 use scalo_core::session::{Session, SessionSpec, StepOutcome};
+use scalo_core::snapshot::fnv1a;
 use scalo_core::ScaloConfig;
 use scalo_trace::SpanEvent;
 use std::collections::BTreeMap;
@@ -34,12 +35,13 @@ pub struct FleetConfig {
     pub halt_after_windows: Option<u64>,
     /// Cohort-batched execution: group admitted sessions whose specs
     /// share a [`CohortKey`] (same deployment shape, duration, BER,
-    /// cadence, transport, stall) and step each group in lockstep
-    /// through the fused cohort engine — one radio stall, one block
-    /// hash, one FFT-plan walk per cohort window. Decisions are
-    /// bit-identical to solo stepping; sessions with a pending hot
-    /// reconfiguration are ejected to solo jobs so cutover replay never
-    /// runs inside a lockstep group.
+    /// cadence, transport, stall) into one lockstep job — one radio
+    /// stall, one block hash, one FFT-plan walk per cohort window.
+    /// Every job runs the same window engine; this only decides the
+    /// group sizes (off: every session is a group of one). Decisions
+    /// are bit-identical either way; sessions with a pending hot
+    /// reconfiguration stay groups of one so cutover replay never runs
+    /// inside a lockstep group.
     pub cohort: bool,
 }
 
@@ -420,23 +422,19 @@ fn admission_log_json(log: &[AdmissionEvent]) -> String {
     out
 }
 
-/// 64-bit FNV-1a, for compact decision fingerprints in JSON output.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One pooled session plus its metric handles (resolved once here so
-/// the step loop never takes the registry lock).
-struct FleetJob {
-    session: Session,
+/// The pool's one job type: a group of sessions stepped in lockstep
+/// through the window engine ([`scalo_core::cohort`]), plus the metric
+/// handles it feeds (resolved once here so the step loop never takes the
+/// registry lock). A solo session is a group of one; one quantum
+/// advances every member by `quantum_steps` windows.
+struct GroupJob {
+    sessions: Vec<Session>,
+    engine: Cohort,
+    outcomes: Vec<StepOutcome>,
     quantum_steps: usize,
     fleet_latency: Arc<Histogram>,
-    session_latency: Arc<Histogram>,
+    /// Per-member `session.<id>.step_latency_us` handles, member order.
+    session_latency: Vec<Arc<Histogram>>,
     steps: Arc<Counter>,
     misses: Arc<Counter>,
     /// Write-ahead logging (durable fleets only).
@@ -446,7 +444,9 @@ struct FleetJob {
     /// Kill switch: once set, every job returns immediately.
     halted: Arc<AtomicBool>,
     halt_after_windows: Option<u64>,
-    /// Pending hot reconfiguration, taken when its window arrives.
+    /// Pending hot reconfiguration (groups of one only: a cutover's
+    /// replay would desync a lockstep cursor), taken when its window
+    /// arrives.
     reconfigure: Option<ReconfigureRequest>,
     /// What the reconfiguration did, harvested into the report.
     reconfigure_record: Option<ReconfigureRecord>,
@@ -455,7 +455,7 @@ struct FleetJob {
     cutover_hist: Arc<Histogram>,
 }
 
-/// Per-window durability hooks, shared by solo and cohort jobs: one
+/// Per-window durability hooks, run for every member's window: one
 /// decision record per window (allocation-free), a checkpoint snapshot
 /// every cadence windows, and a completion record. A log failure halts
 /// the fleet — it must never keep serving while silently losing its
@@ -487,7 +487,7 @@ fn log_window(
     }
 }
 
-impl FleetJob {
+impl GroupJob {
     /// Applies a scheduled reconfiguration once its window boundary has
     /// arrived: recompile the new query against the session's
     /// deployment, re-solve the seizure ILP, and hand the resulting
@@ -495,17 +495,15 @@ impl FleetJob {
     /// typed rollback — the session keeps serving its old configuration
     /// and the record says why.
     fn maybe_reconfigure(&mut self) {
-        let due = self
-            .reconfigure
-            .as_ref()
-            .is_some_and(|req| self.session.window() >= req.at_window);
-        if !due || self.session.is_done() {
+        let Some(req) = &self.reconfigure else { return };
+        let session = &mut self.sessions[0];
+        if session.window() < req.at_window || session.is_done() {
             return;
         }
         let req = self.reconfigure.take().expect("checked above");
         self.reconfigure_total.incr();
-        let window = self.session.window();
-        let spec = self.session.spec().clone();
+        let window = session.window();
+        let spec = session.spec().clone();
         let t_compile = Instant::now();
         let cfg = PlanConfig {
             channels: spec.electrodes,
@@ -539,15 +537,14 @@ impl FleetJob {
                 new_spec.use_reliable_transport = binding.use_reliable_transport;
                 new_spec.query = Some(plan.source().to_string());
                 let t_cut = Instant::now();
-                let result = self
-                    .session
+                let result = session
                     .reconfigure(new_spec, req.expected_step_digest)
                     .map_err(|e| e.to_string());
                 let cutover_ns = t_cut.elapsed().as_nanos() as u64;
                 record.cutover_us = cutover_ns / 1_000;
                 self.cutover_hist.observe(record.cutover_us);
                 if result.is_ok() {
-                    self.session.note_reconfigured(cutover_ns);
+                    session.note_reconfigured(cutover_ns);
                 }
                 result
             });
@@ -559,7 +556,7 @@ impl FleetJob {
                 // replays the decision suffix from a snapshot that
                 // already carries the new binding epoch.
                 if let Some(logger) = &self.logger {
-                    if let Err(e) = logger.log_checkpoint(&self.session) {
+                    if let Err(e) = logger.log_checkpoint(session) {
                         logger.poison(e);
                         self.halted.store(true, Ordering::Relaxed);
                     }
@@ -574,79 +571,19 @@ impl FleetJob {
     }
 }
 
-impl WorkUnit for FleetJob {
+impl WorkUnit for GroupJob {
     fn run_quantum(&mut self) -> Quantum {
         if self.halted.load(Ordering::Relaxed) {
             return Quantum::Done;
         }
         // Close any pending run-queue gap as a `queue` span (no-op when
-        // the session's recorder is disabled).
-        self.session.note_scheduled();
-        for _ in 0..self.quantum_steps {
-            self.maybe_reconfigure();
-            let out = self.session.step();
-            self.fleet_latency.observe(out.wall_us);
-            self.session_latency.observe(out.wall_us);
-            self.steps.incr();
-            if out.deadline_missed {
-                self.misses.incr();
-            }
-            log_window(
-                &self.logger,
-                &self.halted,
-                &self.session,
-                out.window,
-                out.done,
-            );
-            if let Some(halt) = self.halt_after_windows {
-                if self.windows_stepped.fetch_add(1, Ordering::Relaxed) + 1 >= halt {
-                    // The kill: stop the pool mid-flight, no final sync.
-                    self.halted.store(true, Ordering::Relaxed);
-                    return Quantum::Done;
-                }
-            }
-            if out.done {
-                return Quantum::Done;
-            }
-            if self.halted.load(Ordering::Relaxed) {
-                return Quantum::Done;
-            }
-        }
-        self.session.note_yielded();
-        Quantum::Yield
-    }
-}
-
-/// A pooled *cohort*: structurally identical sessions stepped in
-/// lockstep through the fused kernel engine ([`scalo_core::cohort`]).
-/// One quantum advances every member by `quantum_steps` windows, so the
-/// scheduling granularity is `members × quantum_steps` session-windows.
-struct CohortJob {
-    sessions: Vec<Session>,
-    cohort: Cohort,
-    outcomes: Vec<StepOutcome>,
-    quantum_steps: usize,
-    fleet_latency: Arc<Histogram>,
-    /// Per-member `session.<id>.step_latency_us` handles, member order.
-    session_latency: Vec<Arc<Histogram>>,
-    steps: Arc<Counter>,
-    misses: Arc<Counter>,
-    logger: Option<Arc<FleetLogger>>,
-    windows_stepped: Arc<AtomicU64>,
-    halted: Arc<AtomicBool>,
-    halt_after_windows: Option<u64>,
-}
-
-impl WorkUnit for CohortJob {
-    fn run_quantum(&mut self) -> Quantum {
-        if self.halted.load(Ordering::Relaxed) {
-            return Quantum::Done;
-        }
+        // a session's recorder is disabled).
         for s in self.sessions.iter_mut() {
             s.note_scheduled();
         }
         for _ in 0..self.quantum_steps {
-            self.cohort
+            self.maybe_reconfigure();
+            self.engine
                 .step_window(&mut self.sessions, &mut self.outcomes);
             for (m, out) in self.outcomes.iter().enumerate() {
                 self.fleet_latency.observe(out.wall_us);
@@ -666,6 +603,7 @@ impl WorkUnit for CohortJob {
             if let Some(halt) = self.halt_after_windows {
                 let n = self.outcomes.len() as u64;
                 if self.windows_stepped.fetch_add(n, Ordering::Relaxed) + n >= halt {
+                    // The kill: stop the pool mid-flight, no final sync.
                     self.halted.store(true, Ordering::Relaxed);
                     return Quantum::Done;
                 }
@@ -682,23 +620,6 @@ impl WorkUnit for CohortJob {
             s.note_yielded();
         }
         Quantum::Yield
-    }
-}
-
-/// The pool's single job type: a solo session or a fused cohort. The
-/// generic Chase-Lev pool runs one job type per invocation, so the two
-/// shapes meet here.
-enum JobKind {
-    Solo(Box<FleetJob>),
-    Cohort(Box<CohortJob>),
-}
-
-impl WorkUnit for JobKind {
-    fn run_quantum(&mut self) -> Quantum {
-        match self {
-            JobKind::Solo(j) => j.run_quantum(),
-            JobKind::Cohort(j) => j.run_quantum(),
-        }
     }
 }
 
@@ -924,11 +845,14 @@ impl Fleet {
     pub fn run(mut self) -> FleetReport {
         let windows_stepped = Arc::new(AtomicU64::new(0));
         let halted = Arc::new(AtomicBool::new(false));
-        // Group the admitted set into pool jobs. In cohort mode,
-        // sessions sharing a CohortKey step as one fused lockstep job;
-        // sessions with a pending reconfiguration (whose cutover replay
-        // would desync the lockstep cursor) and shapes without a twin
-        // stay solo. BTreeMap keeps the grouping order deterministic.
+        // Group the admitted set into pool jobs: every job steps its
+        // group through the window engine, and cohort mode only decides
+        // the group sizes. With it on, sessions sharing a CohortKey form
+        // one lockstep group; sessions with a pending reconfiguration
+        // (whose cutover replay would desync the lockstep cursor) and
+        // shapes without a twin are groups of one. Off, every session is
+        // a group of one. BTreeMap keeps the grouping order
+        // deterministic.
         let groups: Vec<Vec<Session>> = if self.cfg.cohort {
             let mut by_key: BTreeMap<CohortKey, Vec<Session>> = BTreeMap::new();
             let mut solo: Vec<Session> = Vec::new();
@@ -949,56 +873,41 @@ impl Fleet {
             self.active.drain(..).map(|s| vec![s]).collect()
         };
         let mut cohorts: Vec<usize> = Vec::new();
-        let jobs: Vec<JobKind> = groups
+        let jobs: Vec<GroupJob> = groups
             .into_iter()
-            .map(|mut group| {
+            .map(|sessions| {
                 if self.cfg.cohort {
-                    cohorts.push(group.len());
+                    cohorts.push(sessions.len());
                 }
-                if group.len() >= 2 {
-                    let session_latency = group
-                        .iter()
-                        .map(|s| {
-                            self.metrics
-                                .histogram(&format!("session.{}.step_latency_us", s.id()))
-                        })
-                        .collect();
-                    JobKind::Cohort(Box::new(CohortJob {
-                        cohort: Cohort::new(),
-                        outcomes: Vec::with_capacity(group.len()),
-                        quantum_steps: self.cfg.quantum_steps,
-                        fleet_latency: self.metrics.histogram("fleet.step_latency_us"),
-                        session_latency,
-                        steps: self.metrics.counter("fleet.steps"),
-                        misses: self.metrics.counter("fleet.deadline_misses"),
-                        logger: self.logger.clone(),
-                        windows_stepped: Arc::clone(&windows_stepped),
-                        halted: Arc::clone(&halted),
-                        halt_after_windows: self.cfg.halt_after_windows,
-                        sessions: group,
-                    }))
-                } else {
-                    let session = group.pop().expect("groups are non-empty");
-                    let id = session.id();
-                    JobKind::Solo(Box::new(FleetJob {
-                        fleet_latency: self.metrics.histogram("fleet.step_latency_us"),
-                        session_latency: self
-                            .metrics
-                            .histogram(&format!("session.{id}.step_latency_us")),
-                        steps: self.metrics.counter("fleet.steps"),
-                        misses: self.metrics.counter("fleet.deadline_misses"),
-                        quantum_steps: self.cfg.quantum_steps,
-                        logger: self.logger.clone(),
-                        windows_stepped: Arc::clone(&windows_stepped),
-                        halted: Arc::clone(&halted),
-                        halt_after_windows: self.cfg.halt_after_windows,
-                        reconfigure: self.reconfigures.remove(&id),
-                        reconfigure_record: None,
-                        reconfigure_total: self.metrics.counter("fleet.reconfigure_total"),
-                        reconfigure_failed: self.metrics.counter("fleet.reconfigure_failed"),
-                        cutover_hist: self.metrics.histogram("fleet.reconfigure_cutover_us"),
-                        session,
-                    }))
+                let session_latency = sessions
+                    .iter()
+                    .map(|s| {
+                        self.metrics
+                            .histogram(&format!("session.{}.step_latency_us", s.id()))
+                    })
+                    .collect();
+                let reconfigure = match sessions.as_slice() {
+                    [solo] => self.reconfigures.remove(&solo.id()),
+                    _ => None,
+                };
+                GroupJob {
+                    engine: Cohort::new(),
+                    outcomes: Vec::with_capacity(sessions.len()),
+                    quantum_steps: self.cfg.quantum_steps,
+                    fleet_latency: self.metrics.histogram("fleet.step_latency_us"),
+                    session_latency,
+                    steps: self.metrics.counter("fleet.steps"),
+                    misses: self.metrics.counter("fleet.deadline_misses"),
+                    logger: self.logger.clone(),
+                    windows_stepped: Arc::clone(&windows_stepped),
+                    halted: Arc::clone(&halted),
+                    halt_after_windows: self.cfg.halt_after_windows,
+                    reconfigure,
+                    reconfigure_record: None,
+                    reconfigure_total: self.metrics.counter("fleet.reconfigure_total"),
+                    reconfigure_failed: self.metrics.counter("fleet.reconfigure_failed"),
+                    cutover_hist: self.metrics.histogram("fleet.reconfigure_cutover_us"),
+                    sessions,
                 }
             })
             .collect();
@@ -1039,15 +948,8 @@ impl Fleet {
         let mut reconfigures: Vec<ReconfigureRecord> = Vec::new();
         let mut served: Vec<Session> = Vec::new();
         for job in done {
-            match job {
-                JobKind::Solo(mut j) => {
-                    if let Some(rec) = j.reconfigure_record.take() {
-                        reconfigures.push(rec);
-                    }
-                    served.push(j.session);
-                }
-                JobKind::Cohort(c) => served.extend(c.sessions),
-            }
+            reconfigures.extend(job.reconfigure_record);
+            served.extend(job.sessions);
         }
         let mut sessions: Vec<SessionServing> = served
             .into_iter()

@@ -149,8 +149,10 @@ impl Histogram {
             .collect()
     }
 
-    /// Upper bound (µs) of the bucket containing quantile `q` in 0..=1
-    /// (the exact max for the open-ended last bucket; 0 when empty).
+    /// Upper bound (µs) of the bucket containing quantile `q` in 0..=1,
+    /// clamped to the largest observation — no quantile reads above the
+    /// max it is a quantile of (the exact max for the open-ended last
+    /// bucket; 0 when empty).
     pub fn quantile_us(&self, q: f64) -> u64 {
         let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
@@ -162,11 +164,7 @@ impl Histogram {
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return if i == counts.len() - 1 {
-                    self.max_us()
-                } else {
-                    LATENCY_BOUNDS_US[i]
-                };
+                return LATENCY_BOUNDS_US[i].min(self.max_us());
             }
         }
         self.max_us()
@@ -328,7 +326,20 @@ mod tests {
         assert_eq!(counts[4], 1); // ≤1000
         assert_eq!(counts[9], 1); // ≤50_000
         assert_eq!(h.quantile_us(0.5), 100);
-        assert_eq!(h.quantile_us(1.0), 50_000);
+        // The ≤50_000 bucket's bound is above anything observed: the
+        // top quantile is the max itself.
+        assert_eq!(h.quantile_us(1.0), 40_000);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_observed_max() {
+        // One slow fault-in of 17.6 ms lands in the ≤20 ms bucket; its
+        // p99 must not read 20 ms, above the max it summarises.
+        let h = Histogram::default();
+        h.observe(17_600);
+        assert_eq!(h.max_us(), 17_600);
+        assert!(h.quantile_us(0.99) <= 17_600, "{}", h.quantile_us(0.99));
+        assert_eq!(h.quantile_us(0.5), 17_600);
     }
 
     #[test]

@@ -333,7 +333,7 @@ fn thousands_admitted_over_a_small_resident_set() {
 }
 
 /// The resident hot loop — step, observe latency, bump counters — does
-/// exactly what `FleetJob` does, and quiet windows stay zero-alloc.
+/// exactly what a fleet group job does, and quiet windows stay zero-alloc.
 #[test]
 fn resident_burst_hot_loop_stays_zero_alloc() {
     let metrics = MetricsRegistry::new();

@@ -219,6 +219,54 @@ impl Recorder {
         self.push(ev);
     }
 
+    /// Records `charges` — `(stage, ns)` pairs measured outside this
+    /// recorder, such as a cohort member's share of work the window
+    /// engine ran once for several sessions — as back-to-back spans in
+    /// order, the last one ending now. Zero-length charges record
+    /// nothing. Returns the first span's begin tick.
+    pub fn record_charged(&mut self, charges: &[(Stage, u64)]) -> u64 {
+        if !self.enabled {
+            return 0;
+        }
+        let now = self.now_ns();
+        let total: u64 = charges.iter().map(|&(_, ns)| ns).sum();
+        let start = now.saturating_sub(total);
+        let mut cursor = start;
+        for &(stage, ns) in charges {
+            if ns == 0 {
+                continue;
+            }
+            let end_ns = (cursor + ns).min(now);
+            self.push(SpanEvent {
+                stage,
+                window: self.window,
+                begin_ns: cursor,
+                end_ns,
+                power_uw: stage.power_uw(self.electrodes) as f32,
+            });
+            cursor = end_ns;
+        }
+        start
+    }
+
+    /// Opens a span of `stage` backdated to cover `charges`, which are
+    /// recorded inside it as by [`Recorder::record_charged`]. Work the
+    /// caller was charged for before the span could open thus counts
+    /// toward the span's duration — and, for a [`Stage::Window`]
+    /// envelope, toward the window's attributed wall time.
+    pub fn begin_charged(&mut self, stage: Stage, charges: &[(Stage, u64)]) {
+        if !self.enabled {
+            return;
+        }
+        let start = self.record_charged(charges);
+        if self.depth >= MAX_NEST {
+            self.unbalanced += 1;
+            return;
+        }
+        self.stack[self.depth] = (stage, start);
+        self.depth += 1;
+    }
+
     fn push(&mut self, ev: SpanEvent) {
         if self.ring.len() < self.capacity {
             self.ring.push(ev); // within capacity: no allocation
@@ -391,6 +439,51 @@ mod tests {
         let mut off = Recorder::disabled();
         off.record_external(Stage::SwapOut, 100);
         assert!(off.is_empty());
+    }
+
+    #[test]
+    fn charged_spans_open_the_envelope_back_to_back() {
+        let mut rec = Recorder::with_capacity(16, 4);
+        // Let the epoch fall far enough behind for the charges to fit.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        rec.set_window(9);
+        let charges = [
+            (Stage::RadioWait, 400_000),
+            (Stage::Gather, 0),
+            (Stage::Sketch, 3_000),
+            (Stage::Filter, 5_000),
+        ];
+        rec.begin_charged(Stage::Window, &charges);
+        rec.begin(Stage::Detect);
+        rec.end(Stage::Detect);
+        rec.end(Stage::Window);
+        assert_eq!(rec.unbalanced(), 0);
+        let events = rec.events();
+        // The zero-length gather records nothing.
+        let stages: Vec<Stage> = events.iter().map(|e| e.stage).collect();
+        assert_eq!(
+            stages,
+            [
+                Stage::RadioWait,
+                Stage::Sketch,
+                Stage::Filter,
+                Stage::Detect,
+                Stage::Window
+            ]
+        );
+        assert_eq!(events[0].dur_ns(), 400_000);
+        assert_eq!(events[1].begin_ns, events[0].end_ns, "back to back");
+        assert_eq!(events[2].begin_ns, events[1].end_ns, "back to back");
+        let window = events[4];
+        assert_eq!(
+            window.begin_ns, events[0].begin_ns,
+            "envelope covers the charges"
+        );
+        assert!(window.dur_ns() >= 408_000);
+        let b = &crate::report::attribute(&events)[0];
+        assert_eq!(b.total_ns(), b.wall_ns);
+        assert_eq!(b.stage_ns(Stage::RadioWait), 400_000);
+        assert_eq!(b.stage_ns(Stage::Filter), 5_000);
     }
 
     #[test]
