@@ -133,7 +133,9 @@ echo "== query compilation + hot-reconfigure smoke =="
 cargo run --release -p scalo-bench --bin experiments -- query
 grep -q '"query":{"catalog":\[' BENCH_fleet.json \
   || { echo "no query section in BENCH_fleet.json" >&2; exit 1; }
-grep -q '"digests_match":true' BENCH_fleet.json \
+# Anchored on the query object's own verdict (right after its catalog):
+# the cohort section carries a "digests_match" key of its own.
+grep -q '"query":{"catalog":\[[^]]*\],"digests_match":true' BENCH_fleet.json \
   || { echo "query-admitted digests diverged from spec twins" >&2; exit 1; }
 grep -q '"swap":{' BENCH_fleet.json \
   || { echo "query splice clobbered the swap section" >&2; exit 1; }

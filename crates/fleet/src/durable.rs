@@ -240,30 +240,13 @@ impl FleetLogger {
     /// the fleet never forgets an admitted patient.
     pub fn log_admit(&self, session: &Session) -> Result<(), WalError> {
         let snap = session.snapshot();
-        let mut inner = self.lock();
-        let frame = append_snapshot(&mut inner, session.id(), snap, false)?;
-        inner.wal.sync()?;
-        inner.records_since_sync = 0;
-        drop(inner);
-        self.bytes.add(frame as u64);
-        self.records.incr();
-        self.fsyncs.incr();
-        Ok(())
+        self.log_snapshot(session.id(), false, |buf| snap.encode_into(buf))
     }
 
     /// Logs a periodic checkpoint snapshot, synced immediately.
     pub fn log_checkpoint(&self, session: &Session) -> Result<(), WalError> {
         let snap = session.snapshot();
-        let mut inner = self.lock();
-        let frame = append_snapshot(&mut inner, session.id(), snap, true)?;
-        inner.wal.sync()?;
-        inner.records_since_sync = 0;
-        drop(inner);
-        self.bytes.add(frame as u64);
-        self.records.incr();
-        self.checkpoints.incr();
-        self.fsyncs.incr();
-        Ok(())
+        self.log_snapshot(session.id(), true, |buf| snap.encode_into(buf))
     }
 
     /// Logs a checkpoint from a **pre-encoded** SCSS image, synced
@@ -273,82 +256,36 @@ impl FleetLogger {
     /// checkpoint are byte-identical by construction (there is no
     /// second encoder to drift).
     pub fn log_checkpoint_image(&self, session: u64, image: &[u8]) -> Result<(), WalError> {
-        let mut inner = self.lock();
-        let mut buf = std::mem::take(&mut inner.snap_buf);
-        buf.clear();
-        buf.extend_from_slice(image);
-        let record = WalRecord::Checkpoint {
-            session,
-            snapshot: buf,
-        };
-        let res = inner.wal.append(&record);
-        inner.snap_buf = match record {
-            WalRecord::Checkpoint { snapshot, .. } => snapshot,
-            _ => unreachable!("checkpoint record only"),
-        };
-        let frame = res?;
-        inner.wal.sync()?;
-        inner.records_since_sync = 0;
-        drop(inner);
-        self.bytes.add(frame as u64);
-        self.records.incr();
-        self.checkpoints.incr();
-        self.fsyncs.incr();
-        Ok(())
+        self.log_snapshot(session, true, |buf| {
+            buf.clear();
+            buf.extend_from_slice(image);
+        })
     }
 
     /// Logs one window's decision digest. Group-committed: fsynced
     /// every [`DurabilityConfig::sync_every_records`] appends.
     /// Allocation-free in steady state.
     pub fn log_decision(&self, session: u64, window: u32, digest: u64) -> Result<(), WalError> {
-        let mut inner = self.lock();
-        let frame = inner.wal.append(&WalRecord::Decision {
+        let record = WalRecord::Decision {
             session,
             window,
             digest,
-        })?;
-        inner.records_since_sync += 1;
-        let synced = inner.records_since_sync >= self.sync_every_records;
-        if synced {
-            inner.wal.sync()?;
-            inner.records_since_sync = 0;
-        }
-        drop(inner);
-        self.bytes.add(frame as u64);
-        self.records.incr();
-        if synced {
-            self.fsyncs.incr();
-        }
-        Ok(())
+        };
+        self.append(&mut self.lock(), &record)
     }
 
     /// Logs an admission-control eviction, synced immediately.
     pub fn log_shed(&self, session: u64) -> Result<(), WalError> {
-        let mut inner = self.lock();
-        let frame = inner.wal.append(&WalRecord::Shed { session })?;
-        inner.wal.sync()?;
-        inner.records_since_sync = 0;
-        drop(inner);
-        self.bytes.add(frame as u64);
-        self.records.incr();
-        self.fsyncs.incr();
-        Ok(())
+        self.append(&mut self.lock(), &WalRecord::Shed { session })
     }
 
     /// Logs a session completion with its decision fingerprint.
     pub fn log_done(&self, session: u64, decisions_fnv: u64) -> Result<(), WalError> {
-        let mut inner = self.lock();
-        let frame = inner.wal.append(&WalRecord::Done {
+        let record = WalRecord::Done {
             session,
             decisions_fnv,
-        })?;
-        inner.wal.sync()?;
-        inner.records_since_sync = 0;
-        drop(inner);
-        self.bytes.add(frame as u64);
-        self.records.incr();
-        self.fsyncs.incr();
-        Ok(())
+        };
+        self.append(&mut self.lock(), &record)
     }
 
     /// Final fsync at clean shutdown; a crashed run never gets one, so
@@ -357,8 +294,53 @@ impl FleetLogger {
         let mut inner = self.lock();
         inner.wal.sync()?;
         inner.records_since_sync = 0;
-        drop(inner);
         self.fsyncs.incr();
+        Ok(())
+    }
+
+    /// Appends an admit or checkpoint record whose snapshot bytes `fill`
+    /// writes. The reusable buffer round-trips through the record, so no
+    /// fresh `Vec` is built per snapshot.
+    fn log_snapshot(
+        &self,
+        session: u64,
+        checkpoint: bool,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), WalError> {
+        let mut inner = self.lock();
+        let mut snapshot = std::mem::take(&mut inner.snap_buf);
+        fill(&mut snapshot);
+        let record = if checkpoint {
+            WalRecord::Checkpoint { session, snapshot }
+        } else {
+            WalRecord::Admit { session, snapshot }
+        };
+        let result = self.append(&mut inner, &record);
+        let (WalRecord::Admit { snapshot, .. } | WalRecord::Checkpoint { snapshot, .. }) = record
+        else {
+            unreachable!("snapshot records only");
+        };
+        inner.snap_buf = snapshot;
+        result
+    }
+
+    /// Appends one record. Decisions are group-committed; every other
+    /// record is synced at once.
+    fn append(&self, inner: &mut LoggerInner, record: &WalRecord) -> Result<(), WalError> {
+        let frame = inner.wal.append(record)?;
+        inner.records_since_sync += 1;
+        let decision = matches!(record, WalRecord::Decision { .. });
+        let sync = !decision || inner.records_since_sync >= self.sync_every_records;
+        if sync {
+            inner.wal.sync()?;
+            inner.records_since_sync = 0;
+            self.fsyncs.incr();
+        }
+        self.bytes.add(frame as u64);
+        self.records.incr();
+        if matches!(record, WalRecord::Checkpoint { .. }) {
+            self.checkpoints.incr();
+        }
         Ok(())
     }
 
@@ -382,36 +364,6 @@ impl FleetLogger {
     pub fn cost(&self) -> NvmCost {
         self.lock().wal.cost()
     }
-}
-
-/// Encodes `snap` into the reusable buffer and appends it as an admit
-/// or checkpoint record, returning the frame size. The buffer round-trips
-/// through the `WalRecord` so no fresh `Vec` is built per snapshot.
-fn append_snapshot(
-    inner: &mut LoggerInner,
-    session: u64,
-    snap: SessionSnapshot,
-    checkpoint: bool,
-) -> Result<usize, WalError> {
-    let mut buf = std::mem::take(&mut inner.snap_buf);
-    snap.encode_into(&mut buf);
-    let record = if checkpoint {
-        WalRecord::Checkpoint {
-            session,
-            snapshot: buf,
-        }
-    } else {
-        WalRecord::Admit {
-            session,
-            snapshot: buf,
-        }
-    };
-    let res = inner.wal.append(&record);
-    inner.snap_buf = match record {
-        WalRecord::Admit { snapshot, .. } | WalRecord::Checkpoint { snapshot, .. } => snapshot,
-        _ => unreachable!("snapshot records only"),
-    };
-    res
 }
 
 /// Per-session fold of the log, oldest record first.

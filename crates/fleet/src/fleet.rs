@@ -1,17 +1,24 @@
-//! The fleet itself: admission at the front door, a worker pool in the
-//! middle, metrics and per-session decision digests on the way out.
+//! The serving engine: admission at the front door, one residency table
+//! and one epoch loop over the worker pool in the middle, metrics and
+//! per-session decision digests on the way out. A closed batch
+//! ([`Fleet`]) and a bounded resident set ([`crate::SwapFleet`]) are the
+//! same engine; the batch is the case where every session is resident
+//! and arrives at t=0 with all of its windows.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionEvent};
 use crate::durable::{DurabilityConfig, DurabilityError, FleetLogger, RecoveryReport};
-use crate::metrics::{Counter, Histogram, MetricsRegistry};
+use crate::metrics::{json_string, Counter, Histogram, MetricsRegistry};
 use crate::pool::{self, PoolReport, Quantum, WorkUnit};
+use crate::swap::arrivals::Arrival;
+use crate::swap::SwapTier;
 use scalo_core::cohort::{Cohort, CohortKey};
 use scalo_core::plan::{resolve_budget, PlanConfig, PlanError, ProgramPlan};
 use scalo_core::session::{Session, SessionSpec, StepOutcome};
-use scalo_core::snapshot::fnv1a;
+use scalo_core::snapshot::{fnv1a, SessionSnapshot};
 use scalo_core::ScaloConfig;
+use scalo_storage::wal::WalError;
 use scalo_trace::SpanEvent;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,15 +40,11 @@ pub struct FleetConfig {
     /// a clean shutdown performs — buffered log records are genuinely
     /// lost, exactly as in a process kill.
     pub halt_after_windows: Option<u64>,
-    /// Cohort-batched execution: group admitted sessions whose specs
-    /// share a [`CohortKey`] (same deployment shape, duration, BER,
-    /// cadence, transport, stall) into one lockstep job — one radio
-    /// stall, one block hash, one FFT-plan walk per cohort window.
-    /// Every job runs the same window engine; this only decides the
-    /// group sizes (off: every session is a group of one). Decisions
-    /// are bit-identical either way; sessions with a pending hot
-    /// reconfiguration stay groups of one so cutover replay never runs
-    /// inside a lockstep group.
+    /// Cohort-batched execution: sessions that share a [`CohortKey`] and
+    /// a window cursor step as one lockstep job — one radio stall, one
+    /// block hash, one FFT-plan walk per window (off: every session is
+    /// a group of one). Decisions are bit-identical either way; sessions
+    /// with a pending hot reconfiguration stay groups of one.
     pub cohort: bool,
 }
 
@@ -97,8 +100,9 @@ pub enum AdmitError {
         /// Budget headroom after hypothetical shedding.
         headroom: f64,
     },
-    /// The id was already submitted (a caller bug, not a capacity
-    /// condition).
+    /// The id is already admitted (a caller bug, not a capacity
+    /// condition). A refused id is not a duplicate: it may be offered
+    /// again.
     DuplicateId {
         /// The colliding id.
         id: u64,
@@ -188,7 +192,7 @@ struct ReconfigureRequest {
 }
 
 /// What one scheduled hot reconfiguration did (or failed to do).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReconfigureRecord {
     /// The session id.
     pub id: u64,
@@ -248,7 +252,7 @@ pub struct SessionServing {
 pub struct FleetReport {
     /// Worker threads used.
     pub workers: usize,
-    /// End-to-end wall-clock time of the run, ms.
+    /// Wall-clock time of the serving epoch, ms.
     pub wall_ms: f64,
     /// Windows stepped across all sessions.
     pub windows: u64,
@@ -327,12 +331,10 @@ impl FleetReport {
         let _ = write!(out, ",\"cohorts\":{:?}", self.cohorts);
         out.push_str(",\"sessions\":[");
         for (i, s) in self.sessions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
             let _ = write!(
                 out,
-                "{{\"id\":{},\"priority\":{},\"steps\":{},\"deadline_misses\":{},\"wall_us\":{},\"sim_us\":{},\"decisions_fnv\":\"{:016x}\"}}",
+                "{}{{\"id\":{},\"priority\":{},\"steps\":{},\"deadline_misses\":{},\"wall_us\":{},\"sim_us\":{},\"decisions_fnv\":\"{:016x}\"}}",
+                if i > 0 { "," } else { "" },
                 s.id,
                 s.priority,
                 s.steps,
@@ -344,19 +346,14 @@ impl FleetReport {
         }
         out.push_str("],\"reconfigures\":[");
         for (i, r) in self.reconfigures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
             let _ = write!(
                 out,
-                "{{\"id\":{},\"window\":{},\"ok\":{},\"error\":{},\"compile_us\":{},\"resolve_us\":{},\"cutover_us\":{},\"replayed_windows\":{}}}",
+                "{}{{\"id\":{},\"window\":{},\"ok\":{},\"error\":{},\"compile_us\":{},\"resolve_us\":{},\"cutover_us\":{},\"replayed_windows\":{}}}",
+                if i > 0 { "," } else { "" },
                 r.id,
                 r.window,
                 r.ok,
-                match &r.error {
-                    Some(e) => format!("{e:?}"),
-                    None => "null".to_string(),
-                },
+                json_opt(&r.error),
                 r.compile_us,
                 r.resolve_us,
                 r.cutover_us,
@@ -383,15 +380,17 @@ impl FleetReport {
                 d.segments,
                 d.nvm_time_us,
                 d.clean_shutdown,
-                match &d.error {
-                    Some(e) => format!("{:?}", e),
-                    None => "null".to_string(),
-                },
+                json_opt(&d.error),
             );
         }
         out.push('}');
         out
     }
+}
+
+/// An optional message as a JSON string or `null`.
+fn json_opt(msg: &Option<String>) -> String {
+    msg.as_deref().map_or("null".to_string(), json_string)
 }
 
 fn admission_log_json(log: &[AdmissionEvent]) -> String {
@@ -422,72 +421,147 @@ fn admission_log_json(log: &[AdmissionEvent]) -> String {
     out
 }
 
-/// The pool's one job type: a group of sessions stepped in lockstep
-/// through the window engine ([`scalo_core::cohort`]), plus the metric
-/// handles it feeds (resolved once here so the step loop never takes the
-/// registry lock). A solo session is a group of one; one quantum
-/// advances every member by `quantum_steps` windows.
-struct GroupJob {
-    sessions: Vec<Session>,
-    engine: Cohort,
-    outcomes: Vec<StepOutcome>,
-    quantum_steps: usize,
-    fleet_latency: Arc<Histogram>,
-    /// Per-member `session.<id>.step_latency_us` handles, member order.
-    session_latency: Vec<Arc<Histogram>>,
-    steps: Arc<Counter>,
-    misses: Arc<Counter>,
-    /// Write-ahead logging (durable fleets only).
-    logger: Option<Arc<FleetLogger>>,
-    /// Fleet-wide window counter feeding the kill switch.
-    windows_stepped: Arc<AtomicU64>,
-    /// Kill switch: once set, every job returns immediately.
-    halted: Arc<AtomicBool>,
-    halt_after_windows: Option<u64>,
-    /// Pending hot reconfiguration (groups of one only: a cutover's
-    /// replay would desync a lockstep cursor), taken when its window
-    /// arrives.
-    reconfigure: Option<ReconfigureRequest>,
-    /// What the reconfiguration did, harvested into the report.
-    reconfigure_record: Option<ReconfigureRecord>,
-    reconfigure_total: Arc<Counter>,
-    reconfigure_failed: Arc<Counter>,
-    cutover_hist: Arc<Histogram>,
+/// How a member not yet in memory enters its job: built cold at its
+/// first arrival, or restored from its decoded image (`pre_us`: the NVM
+/// read and decode time already spent on the fault-in).
+pub(crate) enum Start {
+    Build(SessionSpec),
+    FaultIn {
+        snap: Box<SessionSnapshot>,
+        pre_us: u64,
+    },
 }
 
-/// Per-window durability hooks, run for every member's window: one
-/// decision record per window (allocation-free), a checkpoint snapshot
-/// every cadence windows, and a completion record. A log failure halts
-/// the fleet — it must never keep serving while silently losing its
-/// history.
-fn log_window(
+/// What every job of one run shares: the quantum, the kill switch, the
+/// write-ahead logger, and the metric handles, resolved once per run so
+/// no job takes the registry lock.
+struct Shared {
+    quantum_steps: usize,
+    halt_after_windows: Option<u64>,
+    windows_stepped: AtomicU64,
+    /// Kill switch: once set, every job returns at its next check.
+    halted: AtomicBool,
+    logger: Option<Arc<FleetLogger>>,
+    step_latency: Arc<Histogram>,
+    steps: Arc<Counter>,
+    misses: Arc<Counter>,
+    reconfigure_total: Arc<Counter>,
+    reconfigure_failed: Arc<Counter>,
+    cutover_us: Arc<Histogram>,
+    /// Image-tier histograms (swap fleets only).
+    cold_build_us: Option<Arc<Histogram>>,
+    swap_in_us: Option<Arc<Histogram>>,
+}
+
+/// Runs `append` against a durable fleet's log (a no-op without one).
+/// A failure poisons the log, so the report carries it; `false` then.
+pub(crate) fn log_or_poison(
     logger: &Option<Arc<FleetLogger>>,
-    halted: &AtomicBool,
-    session: &Session,
-    window: usize,
-    done: bool,
-) {
-    let Some(logger) = logger else { return };
-    let id = session.id();
-    let digest = session.step_digest();
-    let mut result = logger.log_decision(id, window as u32, digest);
-    if result.is_ok() {
-        let completed = window as u64 + 1;
-        if !done && completed.is_multiple_of(logger.checkpoint_every_windows()) {
-            result = logger.log_checkpoint(session);
-        }
-        if done && result.is_ok() {
-            let fnv = fnv1a(session.decision_digest().as_bytes());
-            result = logger.log_done(id, fnv);
+    append: impl FnOnce(&FleetLogger) -> Result<(), WalError>,
+) -> bool {
+    let Some(logger) = logger else { return true };
+    append(logger).map_err(|e| logger.poison(e)).is_ok()
+}
+
+impl Shared {
+    /// Runs a log append; a failure also halts the fleet: it must never
+    /// keep serving while silently losing its history.
+    fn log(&self, append: impl FnOnce(&FleetLogger) -> Result<(), WalError>) {
+        if !log_or_poison(&self.logger, append) {
+            self.halted.store(true, Ordering::Relaxed);
         }
     }
-    if let Err(e) = result {
-        logger.poison(e);
-        halted.store(true, Ordering::Relaxed);
+
+    /// Per-window durability hooks, run for every member's window: one
+    /// decision record per window (allocation-free), a checkpoint
+    /// snapshot every cadence windows, and a completion record.
+    fn log_window(&self, session: &Session, window: usize, done: bool) {
+        self.log(|logger| {
+            let id = session.id();
+            logger.log_decision(id, window as u32, session.step_digest())?;
+            let completed = window as u64 + 1;
+            if !done && completed.is_multiple_of(logger.checkpoint_every_windows()) {
+                logger.log_checkpoint(session)?;
+            }
+            if done {
+                logger.log_done(id, fnv1a(session.decision_digest().as_bytes()))?;
+            }
+            Ok(())
+        });
     }
+}
+
+/// The pool's one job type: one arrival's burst for a group of sessions
+/// stepped in lockstep through the window engine ([`scalo_core::cohort`]).
+/// It stops at its burst length or at completion and yields every
+/// `quantum_steps` windows.
+struct GroupJob {
+    shared: Arc<Shared>,
+    sessions: Vec<Session>,
+    /// A member to build or restore first (groups of one only).
+    start: Option<Start>,
+    /// Windows left in this arrival's burst.
+    burst: u64,
+    /// Scratch for groups of two or more; a group of one steps on its
+    /// session's own ([`Session::step`]), so no burst sizes a fresh one.
+    engine: Cohort,
+    outcomes: Vec<StepOutcome>,
+    /// The member whose restore failed closed.
+    failed: Option<u64>,
+    /// Pending hot reconfiguration (groups of one only: a cutover's
+    /// replay would desync a lockstep cursor).
+    reconfigure: Option<ReconfigureRequest>,
+    reconfigure_record: Option<ReconfigureRecord>,
 }
 
 impl GroupJob {
+    /// Brings the `start` member into memory. `false` when its restore
+    /// failed closed (its replay drifted from its digests).
+    fn materialize(&mut self) -> bool {
+        let Some(start) = self.start.take() else {
+            return true;
+        };
+        let (shared, t0) = (&*self.shared, Instant::now());
+        let session = match start {
+            Start::Build(spec) => {
+                let session = Session::new(spec);
+                let build_us = t0.elapsed().as_micros() as u64;
+                if let Some(h) = &shared.cold_build_us {
+                    h.observe(build_us);
+                }
+                shared.log(|logger| logger.log_admit(&session));
+                session
+            }
+            Start::FaultIn { snap, pre_us } => match Session::restore(&snap) {
+                Ok(mut session) => {
+                    let total_us = pre_us + t0.elapsed().as_micros() as u64;
+                    if let Some(h) = &shared.swap_in_us {
+                        h.observe(total_us);
+                    }
+                    session.note_swapped_in(total_us.saturating_mul(1_000));
+                    session
+                }
+                Err(_) => {
+                    self.failed = Some(snap.spec.id);
+                    return false;
+                }
+            },
+        };
+        self.sessions.push(session);
+        true
+    }
+
+    /// Steps every member through one window.
+    fn step(&mut self) {
+        match self.sessions.as_mut_slice() {
+            [solo] => {
+                self.outcomes.clear();
+                self.outcomes.push(solo.step());
+            }
+            group => self.engine.step_window(group, &mut self.outcomes),
+        }
+    }
+
     /// Applies a scheduled reconfiguration once its window boundary has
     /// arrived: recompile the new query against the session's
     /// deployment, re-solve the seizure ILP, and hand the resulting
@@ -501,53 +575,30 @@ impl GroupJob {
             return;
         }
         let req = self.reconfigure.take().expect("checked above");
-        self.reconfigure_total.incr();
-        let window = session.window();
+        let shared = &*self.shared;
+        shared.reconfigure_total.incr();
         let spec = session.spec().clone();
-        let t_compile = Instant::now();
-        let cfg = PlanConfig {
-            channels: spec.electrodes,
-            seed: spec.seed,
-        };
-        let compiled = ProgramPlan::compile(&req.source, &cfg);
-        let compile_us = t_compile.elapsed().as_micros() as u64;
+        let (plan, compile_us, resolve_us) = compile_query(&spec, &req.source);
         let mut record = ReconfigureRecord {
             id: spec.id,
-            window,
-            ok: false,
-            error: None,
+            window: session.window(),
             compile_us,
-            resolve_us: 0,
-            cutover_us: 0,
-            replayed_windows: 0,
+            resolve_us,
+            ..ReconfigureRecord::default()
         };
-        let outcome = compiled
-            .and_then(|plan| {
-                let t_resolve = Instant::now();
-                let budget =
-                    resolve_budget(&plan, spec.nodes, ScaloConfig::default().power_limit_mw);
-                record.resolve_us = t_resolve.elapsed().as_micros() as u64;
-                budget.map(|_| plan)
-            })
-            .map_err(|e| e.to_string())
-            .and_then(|plan| {
-                let binding = plan.binding();
-                let mut new_spec = spec;
-                new_spec.movement_every = binding.movement_every;
-                new_spec.use_reliable_transport = binding.use_reliable_transport;
-                new_spec.query = Some(plan.source().to_string());
-                let t_cut = Instant::now();
-                let result = session
-                    .reconfigure(new_spec, req.expected_step_digest)
-                    .map_err(|e| e.to_string());
-                let cutover_ns = t_cut.elapsed().as_nanos() as u64;
-                record.cutover_us = cutover_ns / 1_000;
-                self.cutover_hist.observe(record.cutover_us);
-                if result.is_ok() {
-                    session.note_reconfigured(cutover_ns);
-                }
-                result
-            });
+        let outcome = plan.map_err(|e| e.to_string()).and_then(|plan| {
+            let t_cut = Instant::now();
+            let result = session
+                .reconfigure(bind_plan(spec, &plan), req.expected_step_digest)
+                .map_err(|e| e.to_string());
+            let cutover_ns = t_cut.elapsed().as_nanos() as u64;
+            record.cutover_us = cutover_ns / 1_000;
+            shared.cutover_us.observe(record.cutover_us);
+            if result.is_ok() {
+                session.note_reconfigured(cutover_ns);
+            }
+            result
+        });
         match outcome {
             Ok(out) => {
                 record.ok = true;
@@ -555,16 +606,11 @@ impl GroupJob {
                 // Checkpoint right at the cutover so durable recovery
                 // replays the decision suffix from a snapshot that
                 // already carries the new binding epoch.
-                if let Some(logger) = &self.logger {
-                    if let Err(e) = logger.log_checkpoint(session) {
-                        logger.poison(e);
-                        self.halted.store(true, Ordering::Relaxed);
-                    }
-                }
+                shared.log(|logger| logger.log_checkpoint(session));
             }
             Err(e) => {
                 record.error = Some(e);
-                self.reconfigure_failed.incr();
+                shared.reconfigure_failed.incr();
             }
         }
         self.reconfigure_record = Some(record);
@@ -573,7 +619,7 @@ impl GroupJob {
 
 impl WorkUnit for GroupJob {
     fn run_quantum(&mut self) -> Quantum {
-        if self.halted.load(Ordering::Relaxed) {
+        if self.shared.halted.load(Ordering::Relaxed) || !self.materialize() || self.burst == 0 {
             return Quantum::Done;
         }
         // Close any pending run-queue gap as a `queue` span (no-op when
@@ -581,38 +627,32 @@ impl WorkUnit for GroupJob {
         for s in self.sessions.iter_mut() {
             s.note_scheduled();
         }
-        for _ in 0..self.quantum_steps {
+        for _ in 0..self.shared.quantum_steps {
             self.maybe_reconfigure();
-            self.engine
-                .step_window(&mut self.sessions, &mut self.outcomes);
+            self.step();
+            self.burst -= 1;
+            let shared = &*self.shared;
             for (m, out) in self.outcomes.iter().enumerate() {
-                self.fleet_latency.observe(out.wall_us);
-                self.session_latency[m].observe(out.wall_us);
-                self.steps.incr();
+                shared.step_latency.observe(out.wall_us);
+                shared.steps.incr();
                 if out.deadline_missed {
-                    self.misses.incr();
+                    shared.misses.incr();
                 }
-                log_window(
-                    &self.logger,
-                    &self.halted,
-                    &self.sessions[m],
-                    out.window,
-                    out.done,
-                );
+                shared.log_window(&self.sessions[m], out.window, out.done);
             }
-            if let Some(halt) = self.halt_after_windows {
+            if let Some(halt) = shared.halt_after_windows {
                 let n = self.outcomes.len() as u64;
-                if self.windows_stepped.fetch_add(n, Ordering::Relaxed) + n >= halt {
+                if shared.windows_stepped.fetch_add(n, Ordering::Relaxed) + n >= halt {
                     // The kill: stop the pool mid-flight, no final sync.
-                    self.halted.store(true, Ordering::Relaxed);
+                    shared.halted.store(true, Ordering::Relaxed);
                     return Quantum::Done;
                 }
             }
             // Lockstep: a shared duration means members finish together.
-            if self.outcomes.iter().all(|o| o.done) {
-                return Quantum::Done;
-            }
-            if self.halted.load(Ordering::Relaxed) {
+            if self.burst == 0
+                || self.outcomes.iter().all(|o| o.done)
+                || shared.halted.load(Ordering::Relaxed)
+            {
                 return Quantum::Done;
             }
         }
@@ -623,17 +663,123 @@ impl WorkUnit for GroupJob {
     }
 }
 
-/// A multi-patient serving fleet: submit sessions, then run the
-/// admitted set to completion on the worker pool.
+/// Compiles `source` for `spec`'s deployment and re-solves the seizure
+/// ILP budget for it; also returns the compile and resolve latency, µs.
+fn compile_query(spec: &SessionSpec, source: &str) -> (Result<ProgramPlan, PlanError>, u64, u64) {
+    let cfg = PlanConfig {
+        channels: spec.electrodes,
+        seed: spec.seed,
+    };
+    let t0 = Instant::now();
+    let plan = ProgramPlan::compile(source, &cfg);
+    let compile_us = t0.elapsed().as_micros() as u64;
+    let t1 = Instant::now();
+    let plan = plan.and_then(|plan| {
+        resolve_budget(&plan, spec.nodes, ScaloConfig::default().power_limit_mw).map(|_| plan)
+    });
+    (plan, compile_us, t1.elapsed().as_micros() as u64)
+}
+
+/// Binds a compiled plan's session knobs (movement cadence, reliable
+/// transport, canonical query text) onto `spec`.
+fn bind_plan(mut spec: SessionSpec, plan: &ProgramPlan) -> SessionSpec {
+    let binding = plan.binding();
+    spec.movement_every = binding.movement_every;
+    spec.use_reliable_transport = binding.use_reliable_transport;
+    spec.query = Some(plan.source().to_string());
+    spec
+}
+
+/// Where a submitted session stands: refused, shed, or admitted and
+/// cold (spec only), resident, swapped (an image on the NVM tier), in a
+/// pool job, done, or failed closed.
+#[derive(Debug, Default)]
+pub(crate) enum Residency {
+    Rejected,
+    Shed,
+    Cold(SessionSpec),
+    Resident(Box<Session>),
+    Swapped {
+        decisions_fnv: u64,
+    },
+    #[default]
+    InFlight,
+    Done {
+        decisions_fnv: u64,
+    },
+    Failed,
+}
+
+/// One row of the residency table.
+#[derive(Debug, Default)]
+pub(crate) struct Entry {
+    pub(crate) priority: u8,
+    /// Never an eviction victim (bounded resident sets only).
+    pub(crate) pinned: bool,
+    /// Logical LRU clock: the sequence number of this session's latest
+    /// arrival (never wall time, so runs replay by seed).
+    pub(crate) last_arrival_seq: u64,
+    pub(crate) residency: Residency,
+    /// Accounting mirrored from the session whenever it is in hand.
+    pub(crate) steps: u64,
+    pub(crate) deadline_misses: u64,
+    pub(crate) swap_ins: u64,
+    pub(crate) swap_outs: u64,
+}
+
+impl Entry {
+    pub(crate) fn new(priority: u8, pinned: bool, residency: Residency) -> Self {
+        Self {
+            priority,
+            pinned,
+            residency,
+            ..Self::default()
+        }
+    }
+
+    fn resident(session: Session) -> Self {
+        Self::new(
+            session.priority(),
+            false,
+            Residency::Resident(Box::new(session)),
+        )
+    }
+}
+
+/// One epoch-loop pass: wall time, epochs that served an arrival, summed
+/// pool accounting, and whether the kill switch (or a log failure) hit.
+pub(crate) struct Served {
+    pub(crate) wall_ms: f64,
+    pub(crate) epochs: usize,
+    pub(crate) pool: PoolReport,
+    pub(crate) halted: bool,
+}
+
+/// The serving engine. Built with [`Fleet::new`] it serves a closed
+/// batch: sessions are built at submission and [`Fleet::run`] is one
+/// epoch in which each arrives with all of its windows.
+/// [`crate::SwapFleet`] is the same engine over a bounded resident set.
 #[derive(Debug)]
 pub struct Fleet {
     cfg: FleetConfig,
-    admission: AdmissionController,
-    metrics: Arc<MetricsRegistry>,
-    active: Vec<Session>,
-    states: BTreeMap<u64, (u8, SubmitState)>,
-    logger: Option<Arc<FleetLogger>>,
+    pub(crate) admission: AdmissionController,
+    pub(crate) metrics: Arc<MetricsRegistry>,
+    /// Every submitted id, ascending.
+    pub(crate) table: BTreeMap<u64, Entry>,
+    pub(crate) logger: Option<Arc<FleetLogger>>,
     reconfigures: BTreeMap<u64, ReconfigureRequest>,
+    /// The NVM image tier (swap fleets only).
+    pub(crate) swap: Option<Box<SwapTier>>,
+    /// The LRU clock: arrivals sequenced so far.
+    next_arrival_seq: u64,
+    /// Per-stage trace histograms by `Stage::ALL` position, resolved
+    /// lazily so an untraced run never materializes them.
+    stage_hists: Vec<Option<Arc<Histogram>>>,
+    /// Completed sessions' report rows (closed batches only).
+    served: Vec<SessionServing>,
+    reconfigure_records: Vec<ReconfigureRecord>,
+    /// Job group sizes (cohort mode only).
+    cohorts: Vec<usize>,
 }
 
 impl Fleet {
@@ -644,10 +790,15 @@ impl Fleet {
             cfg,
             admission: AdmissionController::new(cfg.admission),
             metrics: Arc::new(MetricsRegistry::new()),
-            active: Vec::new(),
-            states: BTreeMap::new(),
+            table: BTreeMap::new(),
             logger: None,
             reconfigures: BTreeMap::new(),
+            swap: None,
+            next_arrival_seq: 0,
+            stage_hists: vec![None; scalo_trace::Stage::ALL.len()],
+            served: Vec::new(),
+            reconfigure_records: Vec::new(),
+            cohorts: Vec::new(),
         }
     }
 
@@ -658,9 +809,12 @@ impl Fleet {
         cfg: FleetConfig,
         dcfg: &DurabilityConfig,
     ) -> Result<Self, DurabilityError> {
-        let mut fleet = Self::new(cfg);
-        fleet.logger = Some(Arc::new(FleetLogger::open(dcfg, &fleet.metrics)?));
-        Ok(fleet)
+        Self::new(cfg).with_log(dcfg)
+    }
+
+    pub(crate) fn with_log(mut self, dcfg: &DurabilityConfig) -> Result<Self, DurabilityError> {
+        self.logger = Some(Arc::new(FleetLogger::open(dcfg, &self.metrics)?));
+        Ok(self)
     }
 
     /// Recovers a durable fleet from the log at `dcfg.dir`: every
@@ -675,8 +829,8 @@ impl Fleet {
         dcfg: &DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), DurabilityError> {
         let (sessions, report) = crate::durable::recover_sessions(&dcfg.dir)?;
-        let mut fleet = Self::new(cfg);
-        let logger = Arc::new(FleetLogger::open(dcfg, &fleet.metrics)?);
+        let mut fleet = Self::new(cfg).with_log(dcfg)?;
+        let logger = Arc::clone(fleet.logger.as_ref().expect("just opened"));
         for session in sessions {
             let spec = session.spec();
             let decision = fleet
@@ -688,25 +842,16 @@ impl Fleet {
                 // run — refuse to limp along with a partial fleet.
                 return Err(DurabilityError::ReadmissionFailed { session: spec.id });
             }
-            fleet
-                .states
-                .insert(spec.id, (spec.priority, SubmitState::Admitted));
             logger.log_checkpoint(&session)?;
-            fleet.active.push(session);
+            fleet.table.insert(session.id(), Entry::resident(session));
         }
-        fleet.logger = Some(logger);
-        fleet.metrics.counter("fleet.recoveries").incr();
-        fleet
-            .metrics
-            .counter("fleet.recovered_sessions")
+        let m = &fleet.metrics;
+        m.counter("fleet.recoveries").incr();
+        m.counter("fleet.recovered_sessions")
             .add(report.sessions_recovered as u64);
-        fleet
-            .metrics
-            .counter("fleet.replayed_windows")
+        m.counter("fleet.replayed_windows")
             .add(report.windows_replayed);
-        fleet
-            .metrics
-            .histogram("fleet.recovery_ms")
+        m.histogram("fleet.recovery_ms")
             .observe(report.recovery_ms as u64);
         Ok((fleet, report))
     }
@@ -728,58 +873,70 @@ impl Fleet {
 
     /// Where each submitted session currently stands.
     pub fn submit_state(&self, id: u64) -> Option<SubmitState> {
-        self.states.get(&id).map(|&(_, s)| s)
+        self.table.get(&id).map(|e| match e.residency {
+            Residency::Rejected => SubmitState::Rejected,
+            Residency::Shed => SubmitState::Shed,
+            _ => SubmitState::Admitted,
+        })
     }
 
-    /// Offers a session to the fleet. On admission the session is built
-    /// (recording generated, detectors trained) and queued; sessions
-    /// the admission controller shed to make room are dropped from the
-    /// queue. Refusals say why: budget pressure ([`AdmitError::
-    /// BudgetExhausted`]), an id collision ([`AdmitError::DuplicateId`]),
-    /// or an earlier eviction ([`AdmitError::Shed`]).
+    /// Offers a session to the fleet. A closed batch builds an admitted
+    /// session at once (recording generated, detectors trained) and
+    /// drops the sessions admission control shed to make room. A swap
+    /// fleet admits it cold, by spec only, charging admitted-set
+    /// capacity; its build runs at first arrival. Refusals say why:
+    /// budget pressure ([`AdmitError::BudgetExhausted`]), a full
+    /// admitted set ([`AdmitError::CapacityExhausted`]), a pinned
+    /// session with no guaranteed resident slot
+    /// ([`AdmitError::PinnedResidencyExhausted`]), an id collision
+    /// ([`AdmitError::DuplicateId`]), or an earlier eviction
+    /// ([`AdmitError::Shed`]). A refused id may be offered again.
     pub fn submit(&mut self, spec: SessionSpec) -> Result<(), AdmitError> {
-        match self.states.get(&spec.id) {
-            Some(&(_, SubmitState::Shed)) => return Err(AdmitError::Shed { id: spec.id }),
+        match self.table.get(&spec.id).map(|e| &e.residency) {
+            None | Some(Residency::Rejected) => {}
+            Some(Residency::Shed) => return Err(AdmitError::Shed { id: spec.id }),
             Some(_) => return Err(AdmitError::DuplicateId { id: spec.id }),
-            None => {}
+        }
+        if self.swap.is_some() {
+            return self.admit_cold(spec);
         }
         let cost = spec.cost_estimate();
         let decision = self.admission.offer(spec.id, spec.priority, cost);
         if !decision.admitted {
-            self.states
-                .insert(spec.id, (spec.priority, SubmitState::Rejected));
-            self.metrics.counter("fleet.rejected").incr();
             // The controller logged the post-hypothetical-shed headroom
             // with its rejection; surface that number to the caller.
             let headroom = match self.admission.log().last() {
                 Some(AdmissionEvent::Rejected { headroom, .. }) => *headroom,
                 _ => self.admission.headroom(),
             };
-            return Err(AdmitError::BudgetExhausted { cost, headroom });
+            let err = AdmitError::BudgetExhausted { cost, headroom };
+            return self.refuse(spec.id, spec.priority, err);
         }
         for victim in decision.shed {
-            self.active.retain(|s| s.id() != victim);
-            if let Some(st) = self.states.get_mut(&victim) {
-                st.1 = SubmitState::Shed;
+            if let Some(entry) = self.table.get_mut(&victim) {
+                entry.residency = Residency::Shed;
             }
             self.metrics.counter("fleet.shed").incr();
-            if let Some(logger) = &self.logger {
-                if let Err(e) = logger.log_shed(victim) {
-                    logger.poison(e);
-                }
-            }
+            log_or_poison(&self.logger, |logger| logger.log_shed(victim));
         }
-        self.states
-            .insert(spec.id, (spec.priority, SubmitState::Admitted));
         self.metrics.counter("fleet.admitted").incr();
         let session = Session::new(spec);
-        if let Some(logger) = &self.logger {
-            if let Err(e) = logger.log_admit(&session) {
-                logger.poison(e);
-            }
-        }
-        self.active.push(session);
+        log_or_poison(&self.logger, |logger| logger.log_admit(&session));
+        self.table.insert(session.id(), Entry::resident(session));
         Ok(())
+    }
+
+    /// Records a refusal at the front door and returns it.
+    pub(crate) fn refuse(
+        &mut self,
+        id: u64,
+        priority: u8,
+        err: AdmitError,
+    ) -> Result<(), AdmitError> {
+        self.table
+            .insert(id, Entry::new(priority, false, Residency::Rejected));
+        self.metrics.counter("fleet.rejected").incr();
+        Err(err)
     }
 
     /// Offers a query-backed session: compiles `source` into a window
@@ -794,27 +951,16 @@ impl Fleet {
         base: SessionSpec,
         source: &str,
     ) -> Result<(), QuerySubmitError> {
-        let cfg = PlanConfig {
-            channels: base.electrodes,
-            seed: base.seed,
-        };
-        let t0 = Instant::now();
-        let plan = ProgramPlan::compile(source, &cfg).map_err(QuerySubmitError::Plan)?;
+        let (plan, compile_us, resolve_us) = compile_query(&base, source);
+        let plan = plan.map_err(QuerySubmitError::Plan)?;
         self.metrics
             .histogram("fleet.query_compile_us")
-            .observe(t0.elapsed().as_micros() as u64);
-        let t1 = Instant::now();
-        resolve_budget(&plan, base.nodes, ScaloConfig::default().power_limit_mw)
-            .map_err(QuerySubmitError::Plan)?;
+            .observe(compile_us);
         self.metrics
             .histogram("fleet.query_resolve_us")
-            .observe(t1.elapsed().as_micros() as u64);
-        let binding = plan.binding();
-        let mut spec = base;
-        spec.movement_every = binding.movement_every;
-        spec.use_reliable_transport = binding.use_reliable_transport;
-        spec.query = Some(plan.source().to_string());
-        self.submit(spec).map_err(QuerySubmitError::Admit)
+            .observe(resolve_us);
+        self.submit(bind_plan(base, &plan))
+            .map_err(QuerySubmitError::Admit)
     }
 
     /// Schedules a hot reconfiguration for session `id`: once the
@@ -841,90 +987,334 @@ impl Fleet {
     }
 
     /// Runs every admitted session to completion (or to the
-    /// [`FleetConfig::halt_after_windows`] kill point) and reports.
+    /// [`FleetConfig::halt_after_windows`] kill point) and reports. The
+    /// closed batch is one epoch: every session is resident and arrives
+    /// with all of its remaining windows.
     pub fn run(mut self) -> FleetReport {
-        let windows_stepped = Arc::new(AtomicU64::new(0));
-        let halted = Arc::new(AtomicBool::new(false));
-        // Group the admitted set into pool jobs: every job steps its
-        // group through the window engine, and cohort mode only decides
-        // the group sizes. With it on, sessions sharing a CohortKey form
-        // one lockstep group; sessions with a pending reconfiguration
-        // (whose cutover replay would desync the lockstep cursor) and
-        // shapes without a twin are groups of one. Off, every session is
-        // a group of one. BTreeMap keeps the grouping order
-        // deterministic.
-        let groups: Vec<Vec<Session>> = if self.cfg.cohort {
-            let mut by_key: BTreeMap<CohortKey, Vec<Session>> = BTreeMap::new();
-            let mut solo: Vec<Session> = Vec::new();
-            for session in self.active.drain(..) {
-                if self.reconfigures.contains_key(&session.id()) {
-                    solo.push(session);
-                } else {
-                    by_key
-                        .entry(CohortKey::of(session.spec()))
-                        .or_default()
-                        .push(session);
-                }
-            }
-            let mut groups: Vec<Vec<Session>> = by_key.into_values().collect();
-            groups.extend(solo.into_iter().map(|s| vec![s]));
-            groups
-        } else {
-            self.active.drain(..).map(|s| vec![s]).collect()
-        };
-        let mut cohorts: Vec<usize> = Vec::new();
-        let jobs: Vec<GroupJob> = groups
-            .into_iter()
-            .map(|sessions| {
-                if self.cfg.cohort {
-                    cohorts.push(sessions.len());
-                }
-                let session_latency = sessions
-                    .iter()
-                    .map(|s| {
-                        self.metrics
-                            .histogram(&format!("session.{}.step_latency_us", s.id()))
-                    })
-                    .collect();
-                let reconfigure = match sessions.as_slice() {
-                    [solo] => self.reconfigures.remove(&solo.id()),
-                    _ => None,
-                };
-                GroupJob {
-                    engine: Cohort::new(),
-                    outcomes: Vec::with_capacity(sessions.len()),
-                    quantum_steps: self.cfg.quantum_steps,
-                    fleet_latency: self.metrics.histogram("fleet.step_latency_us"),
-                    session_latency,
-                    steps: self.metrics.counter("fleet.steps"),
-                    misses: self.metrics.counter("fleet.deadline_misses"),
-                    logger: self.logger.clone(),
-                    windows_stepped: Arc::clone(&windows_stepped),
-                    halted: Arc::clone(&halted),
-                    halt_after_windows: self.cfg.halt_after_windows,
-                    reconfigure,
-                    reconfigure_record: None,
-                    reconfigure_total: self.metrics.counter("fleet.reconfigure_total"),
-                    reconfigure_failed: self.metrics.counter("fleet.reconfigure_failed"),
-                    cutover_hist: self.metrics.histogram("fleet.reconfigure_cutover_us"),
-                    sessions,
-                }
+        let batch: Vec<Arrival> = self
+            .table
+            .iter()
+            .filter(|(_, e)| matches!(e.residency, Residency::Resident(_)))
+            .map(|(&session, _)| Arrival {
+                at_us: 0,
+                session,
+                windows: u32::MAX,
             })
             .collect();
+        let served = self.serve(std::slice::from_ref(&batch));
+        // Sessions the kill stopped mid-run report where they stand.
+        for arrival in &batch {
+            let residency = &mut self
+                .table
+                .get_mut(&arrival.session)
+                .expect("admitted")
+                .residency;
+            if let Residency::Resident(_) = residency {
+                let Residency::Resident(mut session) = std::mem::take(residency) else {
+                    unreachable!("checked above");
+                };
+                let row = self.serving_row(&mut session);
+                self.served.push(row);
+            }
+        }
+        let mut sessions = std::mem::take(&mut self.served);
+        sessions.sort_by_key(|s| s.id);
+        let mut reconfigures = std::mem::take(&mut self.reconfigure_records);
+        reconfigures.sort_by_key(|r| r.id);
+        let mut cohorts = std::mem::take(&mut self.cohorts);
         cohorts.sort_unstable_by(|a, b| b.cmp(a));
-        let t0 = Instant::now();
-        let (done, pool_report) = pool::run_to_completion(jobs, self.cfg.workers);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
+        let ids = |want: fn(&Residency) -> bool| -> Vec<u64> {
+            self.table
+                .iter()
+                .filter(|(_, e)| want(&e.residency))
+                .map(|(&id, _)| id)
+                .collect()
+        };
+        FleetReport {
+            workers: self.cfg.workers,
+            wall_ms: served.wall_ms,
+            windows: sessions.iter().map(|s| s.steps).sum(),
+            deadline_misses: sessions.iter().map(|s| s.deadline_misses).sum(),
+            sessions,
+            reconfigures,
+            cohorts,
+            rejected: ids(|r| matches!(r, Residency::Rejected)),
+            shed: ids(|r| matches!(r, Residency::Shed)),
+            admission_log: self.admission.log().to_vec(),
+            pool: served.pool,
+            metrics_json: self.metrics.to_json(),
+            durability: self.durability_summary(!served.halted),
+        }
+    }
 
-        // A clean shutdown seals and fsyncs the log tail; a halted run
-        // deliberately skips this — the kill loses the buffered tail.
-        let durability = self.logger.as_ref().map(|logger| {
-            let clean_shutdown = !halted.load(Ordering::Relaxed);
-            if clean_shutdown {
-                if let Err(e) = logger.finish() {
-                    logger.poison(e);
+    /// The one epoch loop: serves `epochs` in turn, deferred arrivals
+    /// ahead of fresh ones, until both drain or the kill switch fires. A
+    /// halted run skips the clean shutdown, losing the buffered log tail
+    /// exactly as a killed process would.
+    pub(crate) fn serve(&mut self, epochs: &[Vec<Arrival>]) -> Served {
+        let m = &self.metrics;
+        let tier_histogram = |name| self.swap.as_ref().map(|_| m.histogram(name));
+        let shared = Arc::new(Shared {
+            quantum_steps: self.cfg.quantum_steps,
+            halt_after_windows: self.cfg.halt_after_windows,
+            windows_stepped: AtomicU64::new(0),
+            halted: AtomicBool::new(false),
+            logger: self.logger.clone(),
+            step_latency: m.histogram("fleet.step_latency_us"),
+            steps: m.counter("fleet.steps"),
+            misses: m.counter("fleet.deadline_misses"),
+            reconfigure_total: m.counter("fleet.reconfigure_total"),
+            reconfigure_failed: m.counter("fleet.reconfigure_failed"),
+            cutover_us: m.histogram("fleet.reconfigure_cutover_us"),
+            cold_build_us: tier_histogram("fleet.cold_build_us"),
+            swap_in_us: tier_histogram("fleet.swap_in_us"),
+        });
+        let deferred_ctr = m.counter("fleet.arrivals_deferred");
+        let dropped_ctr = m.counter("fleet.arrivals_dropped");
+        let mut pool = PoolReport {
+            workers: self.cfg.workers,
+            ..PoolReport::default()
+        };
+        let mut deferred: Vec<Arrival> = Vec::new();
+        let (mut served_epochs, mut next) = (0, 0);
+        let t0 = Instant::now();
+        while next < epochs.len() || !deferred.is_empty() {
+            let fresh = epochs.get(next).cloned().unwrap_or_default();
+            next += 1;
+            let arrivals = merge_arrivals(std::mem::take(&mut deferred), fresh);
+            if arrivals.is_empty() {
+                continue;
+            }
+            self.run_epoch(&shared, &arrivals, &mut deferred, &mut pool);
+            served_epochs += 1;
+            deferred_ctr.add(deferred.len() as u64);
+            if shared.halted.load(Ordering::Relaxed) {
+                break;
+            }
+            if next >= epochs.len() && deferred.len() == arrivals.len() {
+                // Drain stall: every remaining arrival needs a slot and
+                // none can open (all residents pinned or arriving).
+                dropped_ctr.add(deferred.len() as u64);
+                deferred.clear();
+                break;
+            }
+        }
+        let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
+        let halted = shared.halted.load(Ordering::Relaxed);
+        if !halted {
+            self.clean_shutdown();
+        }
+        Served {
+            wall_ms,
+            epochs: served_epochs,
+            pool,
+            halted,
+        }
+    }
+
+    /// Serves one epoch: each arriving session is made resident (as it
+    /// is, built cold, or faulted in), grouped into pool jobs that step
+    /// its burst, and put back in the table. Arrivals that get no
+    /// resident slot go to `deferred`.
+    fn run_epoch(
+        &mut self,
+        shared: &Arc<Shared>,
+        arrivals: &[Arrival],
+        deferred: &mut Vec<Arrival>,
+        pool: &mut PoolReport,
+    ) {
+        let arriving: BTreeSet<u64> = arrivals.iter().map(|a| a.session).collect();
+        let (mut served, mut late) = (0u64, 0u64);
+        let mut jobs: Vec<GroupJob> = Vec::new();
+        // Cohort mode fuses resident sessions of one shape, cursor, and
+        // burst into one lockstep group (in BTreeMap order); sessions
+        // with a pending reconfiguration stay solo.
+        let mut groups: BTreeMap<(CohortKey, u64, u32), Vec<Session>> = BTreeMap::new();
+        for &arrival in arrivals {
+            let id = arrival.session;
+            let Some(entry) = self.table.get_mut(&id) else {
+                late += 1;
+                continue;
+            };
+            match entry.residency {
+                Residency::Cold(_) | Residency::Resident(_) | Residency::Swapped { .. } => {}
+                Residency::InFlight => unreachable!("one merged arrival per session per epoch"),
+                _ => {
+                    // Completed, failed, refused, or shed.
+                    late += 1;
+                    continue;
                 }
             }
+            entry.last_arrival_seq = self.next_arrival_seq;
+            self.next_arrival_seq += 1;
+            let session = match std::mem::replace(&mut entry.residency, Residency::InFlight) {
+                Residency::Resident(session) => *session,
+                parked => {
+                    let Some(start) = self.bring_in(arrival, parked, &arriving, deferred) else {
+                        continue;
+                    };
+                    served += 1;
+                    jobs.push(self.job(shared, Vec::new(), Some(start), arrival.windows));
+                    continue;
+                }
+            };
+            served += 1;
+            if self.cfg.cohort && !self.reconfigures.contains_key(&id) {
+                let key = (
+                    CohortKey::of(session.spec()),
+                    session.window(),
+                    arrival.windows,
+                );
+                groups.entry(key).or_default().push(session);
+            } else {
+                jobs.push(self.job(shared, vec![session], None, arrival.windows));
+            }
+        }
+        for ((_, _, burst), group) in groups {
+            jobs.push(self.job(shared, group, None, burst));
+        }
+        if self.cfg.cohort {
+            self.cohorts.extend(jobs.iter().map(|j| j.sessions.len()));
+        }
+        self.metrics.counter("fleet.arrivals_served").add(served);
+        self.metrics.counter("fleet.arrivals_late").add(late);
+        if !jobs.is_empty() {
+            let (done, report) = pool::run_to_completion(jobs, self.cfg.workers);
+            pool.quanta += report.quanta;
+            pool.steals += report.steals;
+            for job in done {
+                self.finish(job);
+            }
+        }
+        if let Some(tier) = &self.swap {
+            tier.refresh_gauges(self.admission.resident_count());
+        }
+    }
+
+    fn job(
+        &mut self,
+        shared: &Arc<Shared>,
+        sessions: Vec<Session>,
+        start: Option<Start>,
+        burst: u32,
+    ) -> GroupJob {
+        let reconfigure = match sessions.as_slice() {
+            [solo] => self.reconfigures.remove(&solo.id()),
+            _ => None,
+        };
+        GroupJob {
+            shared: Arc::clone(shared),
+            outcomes: Vec::with_capacity(sessions.len().max(1)),
+            engine: Cohort::new(),
+            sessions,
+            start,
+            burst: u64::from(burst),
+            failed: None,
+            reconfigure,
+            reconfigure_record: None,
+        }
+    }
+
+    fn finish(&mut self, job: GroupJob) {
+        self.reconfigure_records.extend(job.reconfigure_record);
+        if let Some(start) = job.start {
+            self.put_back(start);
+        }
+        if let Some(id) = job.failed {
+            self.fail_closed(id);
+        }
+        for session in job.sessions {
+            self.settle(session);
+        }
+    }
+
+    /// Puts a session back after its burst: resident while it has
+    /// windows left, otherwise retired with its decision fingerprint.
+    fn settle(&mut self, mut session: Session) {
+        let id = session.id();
+        let report = session.report();
+        let entry = self.table.get_mut(&id).expect("in-flight session");
+        entry.steps = report.steps;
+        entry.deadline_misses = report.deadline_misses;
+        if !session.is_done() {
+            entry.residency = Residency::Resident(Box::new(session));
+            return;
+        }
+        let row = self.serving_row(&mut session);
+        let decisions_fnv = fnv1a(row.digest.as_bytes());
+        self.retire(id, Residency::Done { decisions_fnv });
+        self.metrics.counter("fleet.completed").incr();
+        if self.swap.is_none() {
+            self.served.push(row);
+        }
+    }
+
+    /// Releases `id`'s admission (slot, budget, pin) and records its
+    /// final standing.
+    pub(crate) fn retire(&mut self, id: u64, residency: Residency) {
+        self.admission.release(id);
+        let entry = self.table.get_mut(&id).expect("admitted session");
+        entry.residency = residency;
+        if entry.pinned {
+            if let Some(tier) = &mut self.swap {
+                tier.pinned_admitted -= 1;
+            }
+        }
+    }
+
+    /// The report row for a session leaving the run.
+    fn serving_row(&mut self, session: &mut Session) -> SessionServing {
+        let report = session.report();
+        SessionServing {
+            id: report.id,
+            priority: session.priority(),
+            steps: report.steps,
+            deadline_misses: report.deadline_misses,
+            wall_us: report.wall_us,
+            sim_us: report.sim_us,
+            digest: session.decision_digest(),
+            trace: self.drain_trace(session),
+        }
+    }
+
+    /// Drains `session`'s spans into the `trace.stage.<stage>.span_us`
+    /// histograms and the `trace.*` counters.
+    pub(crate) fn drain_trace(&mut self, session: &mut Session) -> Vec<SpanEvent> {
+        let trace = session.take_trace_events();
+        for ev in &trace {
+            // A stage this build predates is skipped, not a crash.
+            let Some(idx) = scalo_trace::Stage::ALL.iter().position(|s| *s == ev.stage) else {
+                continue;
+            };
+            self.stage_hists[idx]
+                .get_or_insert_with(|| {
+                    self.metrics
+                        .histogram(&format!("trace.stage.{}.span_us", ev.stage.name()))
+                })
+                .observe(ev.dur_ns() / 1_000);
+        }
+        let (m, rec) = (&self.metrics, session.trace());
+        m.counter("trace.spans").add(trace.len() as u64);
+        m.counter("trace.dropped").add(rec.dropped());
+        m.counter("trace.unbalanced").add(rec.unbalanced());
+        trace
+    }
+
+    /// Clean shutdown: durable fleets checkpoint every resident
+    /// unfinished session and sync the log tail.
+    fn clean_shutdown(&self) {
+        log_or_poison(&self.logger, |logger| {
+            let checkpoints = self.table.values().try_for_each(|e| match &e.residency {
+                Residency::Resident(session) => logger.log_checkpoint(session),
+                _ => Ok(()),
+            });
+            checkpoints.and(logger.finish())
+        });
+    }
+
+    /// Write-ahead-log accounting (durable fleets only).
+    pub(crate) fn durability_summary(&self, clean_shutdown: bool) -> Option<DurabilitySummary> {
+        self.logger.as_ref().map(|logger| {
             let stats = logger.stats();
             DurabilitySummary {
                 records: stats.records,
@@ -937,88 +1327,28 @@ impl Fleet {
                 clean_shutdown,
                 error: logger.error_string(),
             }
-        });
+        })
+    }
+}
 
-        // Per-stage histogram handles for the trace merge below, resolved
-        // lazily (name formatting + registry lock once per *stage*, not
-        // once per span — traced fleets drain tens of thousands of spans)
-        // so an untraced run never materializes empty trace histograms.
-        let mut stage_hists: Vec<Option<Arc<Histogram>>> =
-            vec![None; scalo_trace::Stage::ALL.len()];
-        let mut reconfigures: Vec<ReconfigureRecord> = Vec::new();
-        let mut served: Vec<Session> = Vec::new();
-        for job in done {
-            reconfigures.extend(job.reconfigure_record);
-            served.extend(job.sessions);
-        }
-        let mut sessions: Vec<SessionServing> = served
-            .into_iter()
-            .map(|mut session| {
-                let report = session.report();
-                self.admission.release(report.id);
-                let trace = session.take_trace_events();
-                // Merge the session's spans into the registry as
-                // per-stage latency histograms, alongside the counters
-                // the step loop already feeds.
-                for ev in &trace {
-                    // Stage::ALL covers every stage the recorder can
-                    // emit; a span outside it (a future stage this
-                    // build predates) is skipped, not a crash.
-                    let Some(idx) = scalo_trace::Stage::ALL.iter().position(|s| *s == ev.stage)
-                    else {
-                        continue;
-                    };
-                    stage_hists[idx]
-                        .get_or_insert_with(|| {
-                            self.metrics
-                                .histogram(&format!("trace.stage.{}.span_us", ev.stage.name()))
-                        })
-                        .observe(ev.dur_ns() / 1_000);
-                }
-                let rec = session.trace();
-                self.metrics.counter("trace.spans").add(trace.len() as u64);
-                self.metrics.counter("trace.dropped").add(rec.dropped());
-                self.metrics
-                    .counter("trace.unbalanced")
-                    .add(rec.unbalanced());
-                SessionServing {
-                    id: report.id,
-                    priority: session.priority(),
-                    steps: report.steps,
-                    deadline_misses: report.deadline_misses,
-                    wall_us: report.wall_us,
-                    sim_us: report.sim_us,
-                    digest: session.decision_digest(),
-                    trace,
-                }
-            })
-            .collect();
-        sessions.sort_by_key(|s| s.id);
-        reconfigures.sort_by_key(|r| r.id);
-
-        let by_state = |want: SubmitState| {
-            self.states
-                .iter()
-                .filter(|(_, &(_, s))| s == want)
-                .map(|(&id, _)| id)
-                .collect::<Vec<u64>>()
-        };
-        FleetReport {
-            workers: self.cfg.workers,
-            wall_ms,
-            windows: sessions.iter().map(|s| s.steps).sum(),
-            deadline_misses: sessions.iter().map(|s| s.deadline_misses).sum(),
-            sessions,
-            reconfigures,
-            cohorts,
-            rejected: by_state(SubmitState::Rejected),
-            shed: by_state(SubmitState::Shed),
-            admission_log: self.admission.log().to_vec(),
-            pool: pool_report,
-            metrics_json: self.metrics.to_json(),
-            durability,
+/// Appends fresh arrivals to the deferred (older) ones, merging a
+/// session's fresh burst into its deferred one (an epoch carries at most
+/// one arrival per session).
+fn merge_arrivals(mut deferred: Vec<Arrival>, fresh: Vec<Arrival>) -> Vec<Arrival> {
+    let older = deferred.len();
+    for a in fresh {
+        match deferred[..older]
+            .iter_mut()
+            .find(|d| d.session == a.session)
+        {
+            Some(d) => {
+                d.windows = d.windows.saturating_add(a.windows);
+                d.at_us = d.at_us.min(a.at_us);
+            }
+            None => deferred.push(a),
         }
     }
+    deferred
 }
 
 #[cfg(test)]
@@ -1027,6 +1357,21 @@ mod tests {
 
     fn small_spec(id: u64) -> SessionSpec {
         SessionSpec::new(id, 0x100 + id).with_duration_s(0.3)
+    }
+
+    #[test]
+    fn merge_arrivals_sums_bursts_and_keeps_order() {
+        let a = |s: u64, w: u32, t: u64| Arrival {
+            at_us: t,
+            session: s,
+            windows: w,
+        };
+        let merged = merge_arrivals(
+            vec![a(1, 4, 10), a(2, 6, 11)],
+            vec![a(2, 5, 90), a(3, 1, 95)],
+        );
+        assert_eq!(merged, vec![a(1, 4, 10), a(2, 11, 11), a(3, 1, 95)]);
+        assert_eq!(merge_arrivals(vec![], vec![a(9, 2, 0)]), vec![a(9, 2, 0)]);
     }
 
     #[test]

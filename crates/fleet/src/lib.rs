@@ -13,20 +13,20 @@
 //! * [`admission`] — an aggregate compute budget at the front door,
 //!   degrading gracefully by shedding lowest-priority sessions first
 //!   (the membership layer's eviction idiom, one level up);
-//! * [`metrics`] — atomic counters and fixed-bucket latency histograms
-//!   for per-session and fleet-wide step latency, deadline misses, and
-//!   throughput, exported as JSON;
-//! * [`fleet`] — the serving loop tying the three together;
+//! * [`metrics`] — atomic counters, gauges, and fixed-bucket latency
+//!   histograms, fleet-wide only (per-session totals ride in the report
+//!   rows), exported as JSON;
+//! * [`fleet`] — the one serving engine tying the three together;
 //! * [`durable`] — write-ahead durability: admissions, per-window
 //!   decision digests, and periodic checkpoints in a page-structured
 //!   log (`scalo_storage::wal`), with crash recovery by deterministic
 //!   re-execution and digest-verified replay;
-//! * [`swap`] — resident-set management (`scalo-swap`): cold admission
-//!   of 10k+ sessions over a bounded DRAM resident set, LRU eviction to
-//!   a modeled NVM image tier through the single SCSS snapshot codec,
-//!   priority pinning, and bounded-latency fault-in on data arrival,
-//!   driven by an open-loop bursty arrival generator
-//!   ([`swap::arrivals`]).
+//! * [`swap`] — the engine over a bounded resident set ([`SwapFleet`]):
+//!   cold admission of 10k+ sessions, LRU eviction to a modeled NVM
+//!   image tier through the single SCSS codec, priority pinning, and
+//!   fault-in on arrival from an open-loop generator ([`swap::arrivals`]).
+//!   A closed batch ([`Fleet`]) is the case where every session is
+//!   resident and arrives at t=0.
 //!
 //! Determinism is the load-bearing property: a session owns all of its
 //! state and wall-clock timing feeds metrics only, so the same set of

@@ -1,62 +1,56 @@
 //! `scalo-swap`: resident-set management — serving 10k+ admitted
 //! sessions through a bounded resident set with NVM session swapping.
 //!
-//! The classic [`crate::Fleet`] keeps every admitted session hot in
-//! DRAM, which caps a node at the admission budget (16 default
-//! sessions). The paper's "millions of users" story is a resident-set
-//! problem: most sessions are quiet most of the time, so the fleet
-//! should keep only the active ones materialized and park the rest as
-//! compact SCSS snapshots on the modeled NVM tier. This module does
-//! exactly that:
+//! There is one serving engine ([`crate::Fleet`]) with two entry
+//! points: a closed batch, where every session is resident and arrives
+//! at t=0 with all of its windows, and [`SwapFleet`], the same engine
+//! over a bounded resident set. Most sessions are quiet most of the
+//! time, so a swap fleet keeps only the active ones materialized and
+//! parks the rest as SCSS snapshots on the modeled NVM tier:
 //!
-//! * **Cold admission** — [`SwapFleet::submit`] admits a session *by
-//!   spec only* (no recording generated, no detectors trained): it
-//!   charges admitted-set capacity, not resident budget. The expensive
-//!   [`Session::new`] runs at first data arrival.
+//! * **Cold admission** — [`SwapFleet::submit`] admits a
+//!   session *by spec only*, charging admitted-set capacity, not
+//!   resident budget; its pool job builds it at its first data arrival.
 //! * **Swap-out** — under resident pressure the LRU session (by
 //!   last-arrival sequence, id tie-break — never wall clock, so runs
 //!   replay by seed) is serialized through the *single* SCSS codec
 //!   ([`SessionSnapshot::encode_into`]) into the
 //!   [`scalo_storage::image::ImageStore`], charged per page via
 //!   [`NvmParams`]. Durable fleets append the **same bytes** as a WAL
-//!   checkpoint ([`crate::FleetLogger::log_checkpoint_image`]), so a
-//!   swapped-out session still recovers after a crash.
+//!   checkpoint ([`crate::FleetLogger::log_checkpoint_image`]).
 //! * **Priority pinning** — sessions at or above
-//!   [`SwapConfig::pin_priority`] are never eviction candidates;
-//!   [`SwapFleet::submit`] refuses pinned sessions that cannot be
-//!   guaranteed a resident slot
+//!   [`SwapConfig::pin_priority`] are never evicted; submission
+//!   refuses pinned sessions that cannot be guaranteed a resident slot
 //!   ([`AdmitError::PinnedResidencyExhausted`]).
-//! * **Fault-in** — a swapped session's arrival reads the image back
-//!   (modeled NVM read time), decodes it (SCSS checksum; seeded
-//!   read-disturb faults are retried up to [`SwapConfig::fault_retries`]
-//!   times and then **fail closed** — the burst is dropped, the image
-//!   and the session's decisions stay intact), and restores it by
-//!   deterministic re-execution on a pool worker. The end-to-end
-//!   fault-in latency lands in the `fleet.swap_in_us` histogram and as
-//!   a [`Stage::SwapIn`](scalo_trace::Stage) span on traced sessions.
+//! * **Fault-in** — an arrival reads the image back (modeled NVM read
+//!   time) and decodes it (SCSS checksum; seeded read-disturb faults are
+//!   retried up to [`SwapConfig::fault_retries`] times and then **fail
+//!   closed** — the burst is dropped, image and decisions intact). Its
+//!   pool job restores it by deterministic re-execution; the fault-in
+//!   latency lands in `fleet.swap_in_us` and a
+//!   [`Stage::SwapIn`](scalo_trace::Stage) span on traced sessions.
 //!
 //! Arrivals come from the open-loop generator ([`arrivals`]) quantized
-//! into epochs; within an epoch every arriving session's burst runs in
-//! parallel on the [`crate::pool`], and the coordinator applies
-//! admissions, evictions, and durability between epochs — so decisions
-//! stay a pure function of each session's seed no matter how the
-//! resident set churns.
+//! into epochs; the coordinator applies admissions, evictions, and
+//! durability between epochs, so decisions stay a pure function of each
+//! session's seed no matter how the resident set churns.
 
 pub mod arrivals;
 
-use crate::admission::{AdmissionConfig, AdmissionController};
-use crate::durable::{DurabilityConfig, DurabilityError, FleetLogger};
-use crate::fleet::{AdmitError, DurabilitySummary, QuerySubmitError};
-use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use crate::pool::{self, PoolReport, Quantum, WorkUnit};
+use crate::admission::AdmissionConfig;
+use crate::durable::{DurabilityConfig, DurabilityError};
+use crate::fleet::{
+    log_or_poison, AdmitError, DurabilitySummary, Entry, Fleet, FleetConfig, QuerySubmitError,
+    Residency, Start,
+};
+use crate::metrics::{Gauge, Histogram, MetricsRegistry};
+use crate::pool::PoolReport;
 use arrivals::{Arrival, ArrivalPlan};
-use scalo_core::plan::{resolve_budget, PlanConfig, ProgramPlan};
-use scalo_core::session::{Session, SessionSpec};
+use scalo_core::session::SessionSpec;
 use scalo_core::snapshot::{fnv1a, Fnv64, SessionSnapshot};
-use scalo_core::ScaloConfig;
 use scalo_storage::image::{ImageStore, ImageStoreError};
 use scalo_storage::nvm::{NvmCost, NvmParams};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -83,9 +77,11 @@ pub struct SwapConfig {
     pub fault_seed: u64,
     /// Image-read attempts per fault-in before failing closed.
     pub fault_retries: u32,
-    /// Crash switch: stop serving after this many epochs, skipping the
-    /// final resident checkpoints and WAL sync a clean shutdown does.
-    pub halt_after_epochs: Option<usize>,
+    /// Crash switch: halt the pool after this many fleet-wide windows,
+    /// skipping the final resident checkpoints and WAL sync a clean
+    /// shutdown does (the engine's one kill switch, as
+    /// [`FleetConfig::halt_after_windows`]).
+    pub halt_after_windows: Option<u64>,
 }
 
 impl SwapConfig {
@@ -104,7 +100,7 @@ impl SwapConfig {
             fault_rate_ppm: 0,
             fault_seed: 0,
             fault_retries: 3,
-            halt_after_epochs: None,
+            halt_after_windows: None,
         }
     }
 
@@ -133,53 +129,13 @@ impl SwapConfig {
         self
     }
 
-    /// Arms the crash switch: serving stops after `epochs` epochs with
-    /// no final checkpoints or WAL sync.
-    pub fn with_halt_after_epochs(mut self, epochs: usize) -> Self {
-        self.halt_after_epochs = Some(epochs);
+    /// Arms the crash switch: serving halts (un-synced) after `windows`
+    /// fleet-wide windows.
+    pub fn with_halt_after_windows(mut self, windows: u64) -> Self {
+        assert!(windows >= 1, "a kill at window 0 serves nothing");
+        self.halt_after_windows = Some(windows);
         self
     }
-}
-
-/// Where a session's state lives right now.
-enum Residency {
-    /// Admitted by spec only; never built.
-    Cold,
-    /// Materialized in DRAM.
-    Resident(Box<Session>),
-    /// Parked as an SCSS image on the swap device.
-    Swapped {
-        /// Window cursor at swap-out.
-        window: u64,
-        /// Decision fingerprint at swap-out.
-        decisions_fnv: u64,
-    },
-    /// Moved into a pool job for this epoch.
-    InFlight,
-    /// Ran to completion.
-    Done {
-        /// Final decision fingerprint.
-        decisions_fnv: u64,
-    },
-    /// Fail-closed: a restore diverged from its snapshot digests.
-    Failed,
-}
-
-/// Coordinator-side bookkeeping for one admitted session.
-struct SessionState {
-    spec: SessionSpec,
-    pinned: bool,
-    /// Logical LRU clock: the global arrival sequence number of this
-    /// session's most recent arrival (never wall time).
-    last_arrival_seq: u64,
-    residency: Residency,
-    /// Accounting mirrored from the session whenever it is in hand.
-    steps: u64,
-    deadline_misses: u64,
-    swap_ins: u64,
-    swap_outs: u64,
-    /// Whether a durable fleet has logged this session's admission.
-    admit_logged: bool,
 }
 
 /// One session's final standing in a [`SwapReport`].
@@ -214,8 +170,8 @@ pub struct SwapSessionOutcome {
     pub swap_ins: u64,
     /// Times this session was swapped out.
     pub swap_outs: u64,
-    /// FNV-1a of [`Session::decision_digest`] at the cursor (0 when the
-    /// session never ran).
+    /// FNV-1a of [`scalo_core::session::Session::decision_digest`] at the
+    /// cursor (0 when the session never ran).
     pub decisions_fnv: u64,
     /// Final standing.
     pub state: SwapOutcomeState,
@@ -425,678 +381,139 @@ impl SwapReport {
     }
 }
 
-/// What one pool job does for its session this epoch.
-enum JobKind {
-    /// Step a burst on an already-resident session.
-    Step(Box<Session>),
-    /// First arrival: build the session, then step.
-    Build(SessionSpec),
-    /// Fault-in: restore from a decoded snapshot, then step.
-    FaultIn {
-        snap: Box<SessionSnapshot>,
-        /// Modeled NVM read time + decode wall time already spent, µs.
-        pre_us: u64,
-    },
-}
-
-/// One arrival burst on the worker pool.
-struct SwapJob {
-    id: u64,
-    kind: Option<JobKind>,
-    windows: u32,
-    result: Option<Result<Box<Session>, String>>,
-    step_latency: Arc<Histogram>,
-    swap_in_us: Arc<Histogram>,
-    cold_build_us: Arc<Histogram>,
-    steps: Arc<Counter>,
-    misses: Arc<Counter>,
-}
-
-impl WorkUnit for SwapJob {
-    fn run_quantum(&mut self) -> Quantum {
-        let kind = self.kind.take().expect("a job runs exactly one quantum");
-        let mut session = match kind {
-            JobKind::Step(s) => s,
-            JobKind::Build(spec) => {
-                let t0 = Instant::now();
-                let session = Box::new(Session::new(spec));
-                self.cold_build_us.observe(t0.elapsed().as_micros() as u64);
-                session
-            }
-            JobKind::FaultIn { snap, pre_us } => {
-                let t0 = Instant::now();
-                match Session::restore(&snap) {
-                    Ok(session) => {
-                        let total_us = pre_us + t0.elapsed().as_micros() as u64;
-                        self.swap_in_us.observe(total_us);
-                        let mut session = Box::new(session);
-                        session.note_swapped_in(total_us.saturating_mul(1_000));
-                        session
-                    }
-                    Err(e) => {
-                        // Fail closed: a corrupt image beat the SCSS
-                        // checksum or decisions drifted. Never serve it.
-                        self.result = Some(Err(e.to_string()));
-                        return Quantum::Done;
-                    }
-                }
-            }
-        };
-        for _ in 0..self.windows {
-            if session.is_done() {
-                break;
-            }
-            let out = session.step();
-            self.step_latency.observe(out.wall_us);
-            self.steps.incr();
-            if out.deadline_missed {
-                self.misses.incr();
-            }
-            if out.done {
-                break;
-            }
-        }
-        self.result = Some(Ok(session));
-        Quantum::Done
-    }
-}
-
-/// The swap fleet: cold admission over a bounded resident set, LRU
-/// eviction to the NVM image tier, fault-in on arrival. See the
-/// [module docs](self).
-pub struct SwapFleet {
+/// The NVM image tier behind a bounded resident set.
+#[derive(Debug)]
+pub(crate) struct SwapTier {
     cfg: SwapConfig,
-    admission: AdmissionController,
-    metrics: Arc<MetricsRegistry>,
     store: ImageStore,
-    states: BTreeMap<u64, SessionState>,
-    rejected: Vec<u64>,
-    pinned_admitted: usize,
-    next_arrival_seq: u64,
-    logger: Option<Arc<FleetLogger>>,
-    /// Reusable SCSS encode buffer (one per fleet, not per eviction).
+    /// Pinned sessions admitted and not yet retired.
+    pub(crate) pinned_admitted: usize,
+    /// Reusable SCSS encode buffer.
     image_buf: Vec<u8>,
-    // Pre-resolved handles.
     resident_gauge: Arc<Gauge>,
     swapped_gauge: Arc<Gauge>,
     image_bytes_gauge: Arc<Gauge>,
-    swap_in_hist: Arc<Histogram>,
-    swap_out_hist: Arc<Histogram>,
-    step_hist: Arc<Histogram>,
-    cold_build_hist: Arc<Histogram>,
-    steps_ctr: Arc<Counter>,
-    misses_ctr: Arc<Counter>,
-    /// Lazily resolved per-stage trace histograms, indexed by
-    /// `Stage::ALL` position (same idiom as `Fleet::run`).
-    stage_hists: Vec<Option<Arc<Histogram>>>,
+    swap_out_us: Arc<Histogram>,
 }
 
-impl SwapFleet {
-    /// An empty swap fleet.
-    pub fn new(cfg: SwapConfig) -> Self {
-        assert!(cfg.workers >= 1, "need at least one worker");
-        assert!(cfg.resident_budget >= 1, "need at least one resident slot");
-        let metrics = Arc::new(MetricsRegistry::new());
-        let store = ImageStore::new(cfg.image_pages, cfg.nvm)
-            .with_faults(cfg.fault_rate_ppm, cfg.fault_seed);
+impl SwapTier {
+    fn new(cfg: SwapConfig, metrics: &MetricsRegistry) -> Self {
         Self {
-            admission: AdmissionController::new(AdmissionConfig {
-                budget: cfg.resident_budget as f64,
-                admitted_capacity: cfg.admitted_capacity,
-            }),
-            store,
-            states: BTreeMap::new(),
-            rejected: Vec::new(),
+            store: ImageStore::new(cfg.image_pages, cfg.nvm)
+                .with_faults(cfg.fault_rate_ppm, cfg.fault_seed),
             pinned_admitted: 0,
-            next_arrival_seq: 0,
-            logger: None,
             image_buf: Vec::with_capacity(4 * 1024),
             resident_gauge: metrics.gauge("fleet.resident_sessions"),
             swapped_gauge: metrics.gauge("fleet.swapped_sessions"),
             image_bytes_gauge: metrics.gauge("fleet.nvm_image_bytes"),
-            swap_in_hist: metrics.histogram("fleet.swap_in_us"),
-            swap_out_hist: metrics.histogram("fleet.swap_out_us"),
-            step_hist: metrics.histogram("fleet.step_latency_us"),
-            cold_build_hist: metrics.histogram("fleet.cold_build_us"),
-            steps_ctr: metrics.counter("fleet.steps"),
-            misses_ctr: metrics.counter("fleet.deadline_misses"),
-            stage_hists: vec![None; scalo_trace::Stage::ALL.len()],
-            metrics,
+            swap_out_us: metrics.histogram("fleet.swap_out_us"),
             cfg,
         }
     }
 
-    /// An empty durable swap fleet: admissions (at first build),
-    /// swap-out checkpoints, and completions are written ahead to the
-    /// log at `dcfg.dir`, so a crashed process can hand its sessions to
-    /// [`crate::Fleet::recover`].
+    /// Sets the occupancy gauges (between epochs).
+    pub(crate) fn refresh_gauges(&self, resident: usize) {
+        self.resident_gauge.set(resident as u64);
+        self.swapped_gauge.set(self.store.len() as u64);
+        self.image_bytes_gauge.set(self.store.bytes_stored());
+    }
+}
+
+/// The serving engine over a bounded resident set. See the
+/// [module docs](self). It dereferences to the engine for reads
+/// ([`Fleet::metrics`], [`Fleet::admission`]); of the engine's
+/// mutators it forwards only submission, so hot reconfiguration (which
+/// needs a session's whole remaining run in one job) stays a
+/// closed-batch feature.
+#[derive(Debug)]
+pub struct SwapFleet(Fleet);
+
+impl std::ops::Deref for SwapFleet {
+    type Target = Fleet;
+
+    fn deref(&self) -> &Fleet {
+        &self.0
+    }
+}
+
+impl SwapFleet {
+    /// An empty swap fleet. Its bursts yield their worker every 8
+    /// windows, the engine's default quantum ([`FleetConfig::new`]).
+    pub fn new(cfg: SwapConfig) -> Self {
+        assert!(cfg.resident_budget >= 1, "need at least one resident slot");
+        let mut fleet_cfg = FleetConfig::new(cfg.workers);
+        fleet_cfg.admission = AdmissionConfig {
+            budget: cfg.resident_budget as f64,
+            admitted_capacity: cfg.admitted_capacity,
+        };
+        fleet_cfg.halt_after_windows = cfg.halt_after_windows;
+        let mut fleet = Fleet::new(fleet_cfg);
+        fleet.swap = Some(Box::new(SwapTier::new(cfg, &fleet.metrics)));
+        Self(fleet)
+    }
+
+    /// An empty durable swap fleet, logging as [`Fleet::open_durable`]
+    /// does (admissions at first build) plus a checkpoint per swap-out,
+    /// so a crashed process can hand its sessions to [`Fleet::recover`].
     pub fn open_durable(cfg: SwapConfig, dcfg: &DurabilityConfig) -> Result<Self, DurabilityError> {
-        let mut fleet = Self::new(cfg);
-        fleet.logger = Some(Arc::new(FleetLogger::open(dcfg, &fleet.metrics)?));
-        Ok(fleet)
+        Self::new(cfg).0.with_log(dcfg).map(Self)
     }
 
-    /// The fleet's metrics registry.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
-    /// The admission controller (two-tier budget usage).
-    pub fn admission(&self) -> &AdmissionController {
-        &self.admission
-    }
-
-    /// Cold-admits a session by spec: charges admitted-set capacity
-    /// only — the expensive build runs at first arrival. Refusals are
-    /// distinct: [`AdmitError::CapacityExhausted`] when the admitted
-    /// set (resident + swapped) is full,
-    /// [`AdmitError::PinnedResidencyExhausted`] when a pinned session
-    /// cannot be guaranteed a resident slot,
-    /// [`AdmitError::DuplicateId`] on id collision.
+    /// Admits a session cold (see [`Fleet::submit`]).
     pub fn submit(&mut self, spec: SessionSpec) -> Result<(), AdmitError> {
-        if self.states.contains_key(&spec.id) {
-            return Err(AdmitError::DuplicateId { id: spec.id });
-        }
-        let pinned = spec.priority >= self.cfg.pin_priority;
-        if pinned && self.pinned_admitted >= self.cfg.resident_budget {
-            return Err(AdmitError::PinnedResidencyExhausted {
-                pinned: self.pinned_admitted,
-                resident_budget: self.cfg.resident_budget,
-            });
-        }
-        if !self.admission.offer_swapped(spec.id, spec.priority, 1.0) {
-            self.rejected.push(spec.id);
-            self.metrics.counter("fleet.rejected").incr();
-            return Err(AdmitError::CapacityExhausted {
-                admitted: self.admission.admitted_count(),
-                capacity: self.cfg.admitted_capacity,
-            });
-        }
-        if pinned {
-            self.pinned_admitted += 1;
-        }
-        self.metrics.counter("fleet.admitted").incr();
-        self.states.insert(
-            spec.id,
-            SessionState {
-                pinned,
-                last_arrival_seq: 0,
-                residency: Residency::Cold,
-                steps: 0,
-                deadline_misses: 0,
-                swap_ins: 0,
-                swap_outs: 0,
-                admit_logged: false,
-                spec,
-            },
-        );
-        Ok(())
+        self.0.submit(spec)
     }
 
-    /// Cold-admits a query-backed session: compiles `source`, re-solves
-    /// the admission budget for the spec's deployment, binds the
-    /// derived knobs onto `base`, and admits through
-    /// [`SwapFleet::submit`]. The expensive session build (and thus the
-    /// query-backed configuration) still happens lazily at first
-    /// arrival — swap-out and fault-in round-trip the query through the
-    /// snapshot codec.
+    /// Admits a query-backed session cold (see [`Fleet::submit_query`]).
     pub fn submit_query(
         &mut self,
         base: SessionSpec,
         source: &str,
     ) -> Result<(), QuerySubmitError> {
-        let cfg = PlanConfig {
-            channels: base.electrodes,
-            seed: base.seed,
-        };
-        let t0 = Instant::now();
-        let plan = ProgramPlan::compile(source, &cfg).map_err(QuerySubmitError::Plan)?;
-        self.metrics
-            .histogram("fleet.query_compile_us")
-            .observe(t0.elapsed().as_micros() as u64);
-        let t1 = Instant::now();
-        resolve_budget(&plan, base.nodes, ScaloConfig::default().power_limit_mw)
-            .map_err(QuerySubmitError::Plan)?;
-        self.metrics
-            .histogram("fleet.query_resolve_us")
-            .observe(t1.elapsed().as_micros() as u64);
-        let binding = plan.binding();
-        let mut spec = base;
-        spec.movement_every = binding.movement_every;
-        spec.use_reliable_transport = binding.use_reliable_transport;
-        spec.query = Some(plan.source().to_string());
-        self.submit(spec).map_err(QuerySubmitError::Admit)
+        self.0.submit_query(base, source)
     }
 
     /// Serves the arrival plan epoch by epoch and reports.
-    pub fn run(mut self, plan: &ArrivalPlan) -> SwapReport {
-        let t0 = Instant::now();
-        let served = self.metrics.counter("fleet.arrivals_served");
-        let deferred_ctr = self.metrics.counter("fleet.arrivals_deferred");
-        let late_ctr = self.metrics.counter("fleet.arrivals_late");
-        let dropped_ctr = self.metrics.counter("fleet.arrivals_dropped");
-        let mut pool_total = PoolReport {
-            workers: self.cfg.workers,
-            quanta: 0,
-            steals: 0,
-        };
-        let mut deferred: Vec<Arrival> = Vec::new();
-        let mut epochs_served = 0usize;
-        let mut halted = false;
-        let mut epoch_idx = 0usize;
-        loop {
-            if self.cfg.halt_after_epochs == Some(epochs_served) {
-                halted = true;
-                break;
-            }
-            // This epoch's work: last epoch's deferrals first (they are
-            // older), then the plan's batch; same-session entries merge.
-            let fresh = plan.epochs.get(epoch_idx).cloned().unwrap_or_default();
-            if epoch_idx >= plan.epochs.len() && deferred.is_empty() {
-                break;
-            }
-            let arrivals = merge_arrivals(std::mem::take(&mut deferred), fresh);
-            epoch_idx += 1;
-            if arrivals.is_empty() {
-                continue;
-            }
-            let before_deferred = deferred.len();
-            let pool_report = self.run_epoch(&arrivals, &mut deferred, &served, &late_ctr);
-            epochs_served += 1;
-            pool_total.quanta += pool_report.quanta;
-            pool_total.steals += pool_report.steals;
-            deferred_ctr.add((deferred.len() - before_deferred) as u64);
-            if epoch_idx >= plan.epochs.len() && deferred.len() == arrivals.len() {
-                // Drain stall: every remaining arrival needs a slot and
-                // none can open (all residents pinned or arriving).
-                dropped_ctr.add(deferred.len() as u64);
-                deferred.clear();
-                break;
-            }
-        }
-        if !halted {
-            self.clean_shutdown();
-        }
-        self.refresh_gauges();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-        self.build_report(wall_ms, epochs_served, pool_total, halted)
-    }
-
-    /// Serves one epoch's merged arrivals. Returns the pool report.
-    fn run_epoch(
-        &mut self,
-        arrivals: &[Arrival],
-        deferred: &mut Vec<Arrival>,
-        served: &Counter,
-        late: &Counter,
-    ) -> PoolReport {
-        let arriving: std::collections::BTreeSet<u64> =
-            arrivals.iter().map(|a| a.session).collect();
-        let mut jobs: Vec<SwapJob> = Vec::new();
-        for &arrival in arrivals {
-            let id = arrival.session;
-            let Some(state) = self.states.get_mut(&id) else {
-                late.incr();
-                continue;
-            };
-            match state.residency {
-                Residency::Done { .. } | Residency::Failed => {
-                    late.incr();
+    pub fn run(self, plan: &ArrivalPlan) -> SwapReport {
+        let mut fleet = self.0;
+        let served = fleet.serve(&plan.epochs);
+        let tier = fleet.swap.as_ref().expect("a swap fleet has an image tier");
+        let mut sessions: Vec<SwapSessionOutcome> = Vec::with_capacity(fleet.table.len());
+        let mut rejected = Vec::new();
+        let mut digest = Fnv64::new();
+        for (&id, entry) in &fleet.table {
+            let (state, decisions_fnv) = match &entry.residency {
+                Residency::Rejected => {
+                    rejected.push(id);
                     continue;
                 }
-                Residency::InFlight => unreachable!("one merged arrival per session per epoch"),
-                _ => {}
-            }
-            state.last_arrival_seq = self.next_arrival_seq;
-            self.next_arrival_seq += 1;
-            let kind = match std::mem::replace(&mut state.residency, Residency::InFlight) {
-                Residency::Resident(session) => JobKind::Step(session),
-                Residency::Cold => {
-                    if !self.ensure_resident_slot(&arriving) {
-                        self.states.get_mut(&id).expect("still admitted").residency =
-                            Residency::Cold;
-                        deferred.push(arrival);
-                        continue;
-                    }
-                    let st = self.states.get_mut(&id).expect("still admitted");
-                    assert!(
-                        self.admission.make_resident(id),
-                        "slot was just ensured for session {id}"
-                    );
-                    self.metrics.counter("fleet.cold_builds").incr();
-                    JobKind::Build(st.spec.clone())
-                }
-                Residency::Swapped {
-                    window,
-                    decisions_fnv,
-                } => {
-                    if !self.ensure_resident_slot(&arriving) {
-                        self.states.get_mut(&id).expect("still admitted").residency =
-                            Residency::Swapped {
-                                window,
-                                decisions_fnv,
-                            };
-                        deferred.push(arrival);
-                        continue;
-                    }
-                    match self.fault_in(id) {
-                        Some((snap, pre_us)) => {
-                            assert!(
-                                self.admission.make_resident(id),
-                                "slot was just ensured for session {id}"
-                            );
-                            let st = self.states.get_mut(&id).expect("still admitted");
-                            st.swap_ins += 1;
-                            self.metrics.counter("fleet.swap_ins").incr();
-                            JobKind::FaultIn {
-                                snap: Box::new(snap),
-                                pre_us,
-                            }
-                        }
-                        None => {
-                            // Fail closed: burst dropped, image intact,
-                            // session stays swapped at its old cursor.
-                            self.metrics.counter("fleet.swap_fault_failures").incr();
-                            self.states.get_mut(&id).expect("still admitted").residency =
-                                Residency::Swapped {
-                                    window,
-                                    decisions_fnv,
-                                };
-                            continue;
-                        }
-                    }
-                }
-                Residency::InFlight | Residency::Done { .. } | Residency::Failed => {
-                    unreachable!("filtered above")
-                }
-            };
-            served.incr();
-            jobs.push(SwapJob {
-                id,
-                kind: Some(kind),
-                windows: arrival.windows,
-                result: None,
-                step_latency: Arc::clone(&self.step_hist),
-                swap_in_us: Arc::clone(&self.swap_in_hist),
-                cold_build_us: Arc::clone(&self.cold_build_hist),
-                steps: Arc::clone(&self.steps_ctr),
-                misses: Arc::clone(&self.misses_ctr),
-            });
-        }
-        let report = if jobs.is_empty() {
-            PoolReport {
-                workers: self.cfg.workers,
-                quanta: 0,
-                steals: 0,
-            }
-        } else {
-            let (done, report) = pool::run_to_completion(jobs, self.cfg.workers);
-            for job in done {
-                self.finish_job(job);
-            }
-            report
-        };
-        self.refresh_gauges();
-        report
-    }
-
-    /// Reads and decodes `id`'s image, retrying seeded read faults up
-    /// to the configured attempts. `None` = fail closed (image stays).
-    /// Returns the snapshot and the µs already spent (modeled NVM read
-    /// time across attempts + decode wall time).
-    fn fault_in(&mut self, id: u64) -> Option<(SessionSnapshot, u64)> {
-        let mut pre_us = 0u64;
-        for attempt in 0..=self.cfg.fault_retries {
-            let t0 = Instant::now();
-            let (bytes, cost) = self
-                .store
-                .read(id)
-                .expect("a swapped session always has an image");
-            pre_us += cost.time_us as u64;
-            let decoded = SessionSnapshot::decode(&bytes);
-            pre_us += t0.elapsed().as_micros() as u64;
-            match decoded {
-                Ok(snap) => {
-                    // The DRAM copy becomes authoritative; durable
-                    // fleets still hold the WAL checkpoint.
-                    self.store
-                        .remove(id)
-                        .expect("image present: it was just read");
-                    return Some((snap, pre_us));
-                }
-                Err(_) if attempt < self.cfg.fault_retries => {
-                    self.metrics.counter("fleet.swap_fault_retries").incr();
-                }
-                Err(_) => {}
-            }
-        }
-        None
-    }
-
-    /// Makes sure a resident slot is free, evicting the LRU
-    /// non-pinned, non-arriving resident if needed. `false` = no slot.
-    fn ensure_resident_slot(&mut self, arriving: &std::collections::BTreeSet<u64>) -> bool {
-        if self.admission.resident_count() < self.cfg.resident_budget {
-            return true;
-        }
-        let victim = self
-            .states
-            .iter()
-            .filter(|(id, st)| {
-                matches!(st.residency, Residency::Resident(_))
-                    && !st.pinned
-                    && !arriving.contains(id)
-            })
-            .min_by_key(|(id, st)| (st.last_arrival_seq, **id))
-            .map(|(&id, _)| id);
-        match victim {
-            Some(id) => self.swap_out(id),
-            None => false,
-        }
-    }
-
-    /// Evicts resident session `id`: trace drained, snapshot encoded
-    /// once, image programmed (and WAL-checkpointed from the same
-    /// bytes), session dropped. `false` when the swap device is full.
-    fn swap_out(&mut self, id: u64) -> bool {
-        let state = self.states.get_mut(&id).expect("eviction victim exists");
-        let Residency::Resident(mut session) =
-            std::mem::replace(&mut state.residency, Residency::InFlight)
-        else {
-            unreachable!("only resident sessions are evicted");
-        };
-        let t0 = Instant::now();
-        let snap = session.snapshot();
-        let mut buf = std::mem::take(&mut self.image_buf);
-        snap.encode_into(&mut buf);
-        let put = self.store.put(id, &buf);
-        let cost = match put {
-            Ok(cost) => cost,
-            Err(ImageStoreError::Full { .. }) => {
-                // Nowhere to park it: keep it resident and tell the
-                // caller no slot opened.
-                self.metrics.counter("fleet.swap_device_full").incr();
-                self.image_buf = buf;
-                self.states.get_mut(&id).expect("still admitted").residency =
-                    Residency::Resident(session);
-                return false;
-            }
-            Err(e) => unreachable!("swap-out put cannot fail with {e}"),
-        };
-        if let Some(logger) = &self.logger {
-            // A session is only resident after `finish_job`, which has
-            // already logged its admission — the checkpoint alone keeps
-            // recovery whole.
-            if let Err(e) = logger.log_checkpoint_image(id, &buf) {
-                logger.poison(e);
-            }
-        }
-        self.image_buf = buf;
-        let swap_us = t0.elapsed().as_micros() as u64 + cost.time_us as u64;
-        session.note_swapped_out(swap_us.saturating_mul(1_000));
-        let events = session.take_trace_events();
-        self.merge_trace(&events);
-        drop(session);
-        self.swap_out_hist.observe(swap_us);
-        self.metrics.counter("fleet.swap_outs").incr();
-        self.admission.make_swapped(id);
-        let state = self.states.get_mut(&id).expect("still admitted");
-        state.swap_outs += 1;
-        state.steps = snap.steps;
-        state.deadline_misses = snap.deadline_misses;
-        state.residency = Residency::Swapped {
-            window: snap.window,
-            decisions_fnv: snap.decisions_fnv,
-        };
-        true
-    }
-
-    /// Puts a finished pool job's session back into the state machine.
-    fn finish_job(&mut self, mut job: SwapJob) {
-        let id = job.id;
-        match job.result.take().expect("job ran") {
-            Ok(mut session) => {
-                let report = session.report();
-                let done = session.is_done();
-                let state = self.states.get_mut(&id).expect("in-flight session");
-                state.steps = report.steps;
-                state.deadline_misses = report.deadline_misses;
-                let needs_admit = self.logger.is_some() && !state.admit_logged;
-                if needs_admit {
-                    if let Some(logger) = &self.logger {
-                        if let Err(e) = logger.log_admit(&session) {
-                            logger.poison(e);
-                        }
-                    }
-                    self.states.get_mut(&id).expect("in-flight").admit_logged = true;
-                }
-                if done {
-                    let fnv = fnv1a(session.decision_digest().as_bytes());
-                    if let Some(logger) = &self.logger {
-                        if let Err(e) = logger.log_done(id, fnv) {
-                            logger.poison(e);
-                        }
-                    }
-                    let events = session.take_trace_events();
-                    self.merge_trace(&events);
-                    self.admission.release(id);
-                    let state = self.states.get_mut(&id).expect("in-flight");
-                    if state.pinned {
-                        self.pinned_admitted -= 1;
-                    }
-                    state.residency = Residency::Done { decisions_fnv: fnv };
-                    self.metrics.counter("fleet.completed").incr();
-                } else {
-                    self.states.get_mut(&id).expect("in-flight").residency =
-                        Residency::Resident(session);
-                }
-            }
-            Err(msg) => {
-                // Restore diverged from its digests: fail closed.
-                self.metrics.counter("fleet.swap_fault_failures").incr();
-                self.metrics.counter("fleet.restore_failures").incr();
-                let _ = msg;
-                self.admission.release(id);
-                let state = self.states.get_mut(&id).expect("in-flight session");
-                if state.pinned {
-                    self.pinned_admitted -= 1;
-                }
-                state.residency = Residency::Failed;
-            }
-        }
-    }
-
-    /// Clean shutdown: durable fleets checkpoint every resident
-    /// unfinished session and sync the log tail.
-    fn clean_shutdown(&mut self) {
-        let Some(logger) = self.logger.clone() else {
-            return;
-        };
-        for (&id, state) in &mut self.states {
-            if let Residency::Resident(session) = &state.residency {
-                let result = if state.admit_logged {
-                    logger.log_checkpoint(session)
-                } else {
-                    logger.log_admit(session)
-                };
-                state.admit_logged = true;
-                if let Err(e) = result {
-                    logger.poison(e);
-                    break;
-                }
-                let _ = id;
-            }
-        }
-        if let Err(e) = logger.finish() {
-            logger.poison(e);
-        }
-    }
-
-    /// Merges drained trace spans into per-stage latency histograms
-    /// (same lazy-resolution idiom as `Fleet::run`).
-    fn merge_trace(&mut self, events: &[scalo_trace::SpanEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        for ev in events {
-            let Some(idx) = scalo_trace::Stage::ALL.iter().position(|s| *s == ev.stage) else {
-                continue;
-            };
-            self.stage_hists[idx]
-                .get_or_insert_with(|| {
-                    self.metrics
-                        .histogram(&format!("trace.stage.{}.span_us", ev.stage.name()))
-                })
-                .observe(ev.dur_ns() / 1_000);
-        }
-        self.metrics.counter("trace.spans").add(events.len() as u64);
-    }
-
-    fn refresh_gauges(&self) {
-        self.resident_gauge
-            .set(self.admission.resident_count() as u64);
-        self.swapped_gauge.set(self.store.len() as u64);
-        self.image_bytes_gauge.set(self.store.bytes_stored());
-    }
-
-    fn build_report(
-        self,
-        wall_ms: f64,
-        epochs: usize,
-        pool: PoolReport,
-        halted: bool,
-    ) -> SwapReport {
-        let mut sessions: Vec<SwapSessionOutcome> = Vec::with_capacity(self.states.len());
-        let mut digest = Fnv64::new();
-        for (&id, state) in &self.states {
-            let (outcome, decisions_fnv) = match &state.residency {
-                Residency::Cold => (SwapOutcomeState::Cold, 0),
+                Residency::Cold(_) => (SwapOutcomeState::Cold, 0),
                 Residency::Resident(session) => (
                     SwapOutcomeState::Resident,
                     fnv1a(session.decision_digest().as_bytes()),
                 ),
-                Residency::Swapped { decisions_fnv, .. } => {
-                    (SwapOutcomeState::Swapped, *decisions_fnv)
-                }
+                Residency::Swapped { decisions_fnv } => (SwapOutcomeState::Swapped, *decisions_fnv),
                 Residency::Done { decisions_fnv } => (SwapOutcomeState::Completed, *decisions_fnv),
                 Residency::Failed => (SwapOutcomeState::Failed, 0),
-                Residency::InFlight => unreachable!("no jobs in flight after run"),
+                Residency::Shed | Residency::InFlight => {
+                    unreachable!("swap fleets never shed, and no job is in flight after a run")
+                }
             };
-            if state.steps > 0 && outcome != SwapOutcomeState::Failed {
+            if entry.steps > 0 && state != SwapOutcomeState::Failed {
                 digest.write_u64(id);
-                digest.write_u64(state.steps);
+                digest.write_u64(entry.steps);
                 digest.write_u64(decisions_fnv);
             }
             sessions.push(SwapSessionOutcome {
                 id,
-                priority: state.spec.priority,
-                pinned: state.pinned,
-                windows: state.steps,
-                deadline_misses: state.deadline_misses,
-                swap_ins: state.swap_ins,
-                swap_outs: state.swap_outs,
+                priority: entry.priority,
+                pinned: entry.pinned,
+                windows: entry.steps,
+                deadline_misses: entry.deadline_misses,
+                swap_ins: entry.swap_ins,
+                swap_outs: entry.swap_outs,
                 decisions_fnv,
-                state: outcome,
+                state,
             });
         }
         let mut rates: Vec<f64> = sessions
@@ -1105,99 +522,251 @@ impl SwapFleet {
             .map(|s| s.deadline_misses as f64 / s.windows as f64)
             .collect();
         rates.sort_by(f64::total_cmp);
-        let rate_q = |q: f64| -> f64 {
-            if rates.is_empty() {
-                return 0.0;
-            }
-            let rank = ((q * rates.len() as f64).ceil() as usize).clamp(1, rates.len());
-            rates[rank - 1]
+        let rate_q = |q: f64| {
+            let rank = (q * rates.len() as f64).ceil() as usize;
+            rates.get(rank.max(1) - 1).copied().unwrap_or(0.0)
         };
         let windows: u64 = sessions.iter().map(|s| s.windows).sum();
         let deadline_misses: u64 = sessions.iter().map(|s| s.deadline_misses).sum();
-        let counter = |name: &str| self.metrics.counter(name).get();
-        let durability = self.logger.as_ref().map(|logger| {
-            let stats = logger.stats();
-            DurabilitySummary {
-                records: stats.records,
-                appended_bytes: stats.appended_bytes,
-                padding_bytes: stats.padding_bytes,
-                pages_written: stats.pages_written,
-                fsyncs: stats.fsyncs,
-                segments: stats.segments,
-                nvm_time_us: logger.cost().time_us,
-                clean_shutdown: !halted,
-                error: logger.error_string(),
-            }
-        });
+        let counter = |name: &str| fleet.metrics.counter(name).get();
+        let quantiles = |name: &str| LatencyQuantiles::from(&fleet.metrics.histogram(name));
         SwapReport {
-            workers: self.cfg.workers,
-            resident_budget: self.cfg.resident_budget,
-            wall_ms,
+            workers: tier.cfg.workers,
+            resident_budget: tier.cfg.resident_budget,
+            wall_ms: served.wall_ms,
             windows,
             deadline_misses,
-            admitted: self.states.len(),
-            rejected: self.rejected.clone(),
+            admitted: sessions.len(),
+            rejected,
             arrivals_served: counter("fleet.arrivals_served"),
             arrivals_deferred: counter("fleet.arrivals_deferred"),
             arrivals_late: counter("fleet.arrivals_late"),
             arrivals_dropped: counter("fleet.arrivals_dropped"),
-            epochs,
+            epochs: served.epochs,
             swap_ins: counter("fleet.swap_ins"),
             swap_outs: counter("fleet.swap_outs"),
             cold_builds: counter("fleet.cold_builds"),
             fault_retries: counter("fleet.swap_fault_retries"),
             fault_failures: counter("fleet.swap_fault_failures"),
-            faults_injected: self.store.faults_injected(),
-            resident_peak: self.resident_gauge.peak(),
-            nvm_image_bytes_peak: self.image_bytes_gauge.peak(),
-            nvm: self.store.cost(),
-            swap_in_us: LatencyQuantiles::from(&self.swap_in_hist),
-            swap_out_us: LatencyQuantiles::from(&self.swap_out_hist),
-            step_us: LatencyQuantiles::from(&self.step_hist),
+            faults_injected: tier.store.faults_injected(),
+            resident_peak: tier.resident_gauge.peak(),
+            nvm_image_bytes_peak: tier.image_bytes_gauge.peak(),
+            nvm: tier.store.cost(),
+            swap_in_us: quantiles("fleet.swap_in_us"),
+            swap_out_us: quantiles("fleet.swap_out_us"),
+            step_us: quantiles("fleet.step_latency_us"),
             miss_rates: MissRates {
-                overall: if windows == 0 {
-                    0.0
-                } else {
-                    deadline_misses as f64 / windows as f64
-                },
+                overall: deadline_misses as f64 / windows.max(1) as f64,
                 p50: rate_q(0.50),
                 p99: rate_q(0.99),
                 p999: rate_q(0.999),
             },
             sessions,
             digest_fnv: digest.finish(),
-            pool,
-            metrics_json: self.metrics.to_json(),
-            durability,
+            pool: served.pool,
+            metrics_json: fleet.metrics.to_json(),
+            durability: fleet.durability_summary(!served.halted),
         }
     }
 }
 
-/// Concatenates deferred (older) and fresh arrivals, merging
-/// same-session entries into one bigger burst.
-fn merge_arrivals(deferred: Vec<Arrival>, fresh: Vec<Arrival>) -> Vec<Arrival> {
-    if deferred.is_empty() {
-        return fresh;
+/// The image tier's side of the engine.
+impl Fleet {
+    /// Cold admission: charges admitted-set capacity only.
+    pub(crate) fn admit_cold(&mut self, spec: SessionSpec) -> Result<(), AdmitError> {
+        let tier = self
+            .swap
+            .as_mut()
+            .expect("cold admission needs an image tier");
+        let (id, priority) = (spec.id, spec.priority);
+        let pinned = priority >= tier.cfg.pin_priority;
+        if pinned && tier.pinned_admitted >= tier.cfg.resident_budget {
+            let err = AdmitError::PinnedResidencyExhausted {
+                pinned: tier.pinned_admitted,
+                resident_budget: tier.cfg.resident_budget,
+            };
+            return self.refuse(id, priority, err);
+        }
+        if !self.admission.offer_swapped(id, priority, 1.0) {
+            let err = AdmitError::CapacityExhausted {
+                admitted: self.admission.admitted_count(),
+                capacity: tier.cfg.admitted_capacity,
+            };
+            return self.refuse(id, priority, err);
+        }
+        tier.pinned_admitted += usize::from(pinned);
+        self.metrics.counter("fleet.admitted").incr();
+        self.table
+            .insert(id, Entry::new(priority, pinned, Residency::Cold(spec)));
+        Ok(())
     }
-    let mut out: Vec<Arrival> = deferred;
-    let mut index: BTreeMap<u64, usize> = out
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (a.session, i))
-        .collect();
-    for a in fresh {
-        match index.get(&a.session) {
-            Some(&i) => {
-                out[i].windows = out[i].windows.saturating_add(a.windows);
-                out[i].at_us = out[i].at_us.min(a.at_us);
+
+    /// Gives a parked (cold or swapped) arriving session a resident slot
+    /// and its [`Start`]. `None` when no slot opened (the arrival is
+    /// deferred) or its image failed closed (the burst is dropped).
+    pub(crate) fn bring_in(
+        &mut self,
+        arrival: Arrival,
+        parked: Residency,
+        arriving: &BTreeSet<u64>,
+        deferred: &mut Vec<Arrival>,
+    ) -> Option<Start> {
+        let id = arrival.session;
+        if !self.ensure_resident_slot(arriving) {
+            self.table.get_mut(&id).expect("admitted").residency = parked;
+            deferred.push(arrival);
+            return None;
+        }
+        let start = match parked {
+            Residency::Cold(spec) => {
+                self.metrics.counter("fleet.cold_builds").incr();
+                Start::Build(spec)
             }
-            None => {
-                index.insert(a.session, out.len());
-                out.push(a);
+            Residency::Swapped { decisions_fnv } => {
+                let Some((snap, pre_us)) = self.fault_in(id) else {
+                    self.metrics.counter("fleet.swap_fault_failures").incr();
+                    self.table.get_mut(&id).expect("admitted").residency =
+                        Residency::Swapped { decisions_fnv };
+                    return None;
+                };
+                self.table.get_mut(&id).expect("admitted").swap_ins += 1;
+                self.metrics.counter("fleet.swap_ins").incr();
+                Start::FaultIn {
+                    snap: Box::new(snap),
+                    pre_us,
+                }
+            }
+            _ => unreachable!("only parked sessions are brought in"),
+        };
+        assert!(
+            self.admission.make_resident(id),
+            "slot was just ensured for session {id}"
+        );
+        Some(start)
+    }
+
+    /// Makes sure a resident slot is free, evicting the LRU
+    /// non-pinned, non-arriving resident if needed. `false` = no slot.
+    fn ensure_resident_slot(&mut self, arriving: &BTreeSet<u64>) -> bool {
+        let tier = self
+            .swap
+            .as_ref()
+            .expect("parked sessions imply an image tier");
+        if self.admission.resident_count() < tier.cfg.resident_budget {
+            return true;
+        }
+        let victim = self
+            .table
+            .iter()
+            .filter(|(id, e)| {
+                matches!(e.residency, Residency::Resident(_)) && !e.pinned && !arriving.contains(id)
+            })
+            .min_by_key(|(id, e)| (e.last_arrival_seq, **id))
+            .map(|(&id, _)| id);
+        victim.is_some_and(|id| self.swap_out(id))
+    }
+
+    /// Evicts resident session `id`: snapshot encoded once, image
+    /// programmed (and WAL-checkpointed from the same bytes), trace
+    /// drained, session dropped. `false` when the swap device is full.
+    fn swap_out(&mut self, id: u64) -> bool {
+        let t0 = Instant::now();
+        let Residency::Resident(session) = &self.table[&id].residency else {
+            unreachable!("only resident sessions are evicted");
+        };
+        let snap = session.snapshot();
+        let tier = self.swap.as_mut().expect("image tier");
+        let mut buf = std::mem::take(&mut tier.image_buf);
+        snap.encode_into(&mut buf);
+        let cost = match tier.store.put(id, &buf) {
+            Ok(cost) => cost,
+            Err(ImageStoreError::Full { .. }) => {
+                // Nowhere to park it: it stays resident, no slot opened.
+                tier.image_buf = buf;
+                self.metrics.counter("fleet.swap_device_full").incr();
+                return false;
+            }
+            Err(e) => unreachable!("swap-out put cannot fail with {e}"),
+        };
+        // Its admission was logged at its build, so the checkpoint alone
+        // keeps recovery whole.
+        log_or_poison(&self.logger, |logger| logger.log_checkpoint_image(id, &buf));
+        tier.image_buf = buf;
+        let swap_us = t0.elapsed().as_micros() as u64 + cost.time_us as u64;
+        tier.swap_out_us.observe(swap_us);
+        let entry = self.table.get_mut(&id).expect("admitted");
+        let Residency::Resident(mut session) = std::mem::replace(
+            &mut entry.residency,
+            Residency::Swapped {
+                decisions_fnv: snap.decisions_fnv,
+            },
+        ) else {
+            unreachable!("checked above");
+        };
+        entry.swap_outs += 1;
+        entry.steps = snap.steps;
+        entry.deadline_misses = snap.deadline_misses;
+        session.note_swapped_out(swap_us.saturating_mul(1_000));
+        self.drain_trace(&mut session);
+        self.metrics.counter("fleet.swap_outs").incr();
+        self.admission.make_swapped(id);
+        true
+    }
+
+    /// Reads and decodes `id`'s image, retrying seeded read faults up
+    /// to the configured attempts; `None` = fail closed. Returns the
+    /// snapshot and the µs spent (modeled NVM reads + decode). A decoded
+    /// image is freed at once; a failed one stays on the device.
+    fn fault_in(&mut self, id: u64) -> Option<(SessionSnapshot, u64)> {
+        let tier = self.swap.as_mut().expect("image tier");
+        let mut pre_us = 0u64;
+        for attempt in 0..=tier.cfg.fault_retries {
+            let t0 = Instant::now();
+            let (bytes, cost) = tier
+                .store
+                .read(id)
+                .expect("a swapped session always has an image");
+            pre_us += cost.time_us as u64;
+            let decoded = SessionSnapshot::decode(&bytes);
+            pre_us += t0.elapsed().as_micros() as u64;
+            match decoded {
+                Ok(snap) => {
+                    tier.store.remove(id).expect("just read");
+                    return Some((snap, pre_us));
+                }
+                Err(_) if attempt < tier.cfg.fault_retries => {
+                    self.metrics.counter("fleet.swap_fault_retries").incr();
+                }
+                Err(_) => {}
             }
         }
+        None
     }
-    out
+
+    /// Parks a member whose job never started where it was. Only the
+    /// kill switch leaves a start unrun, and a halted engine serves no
+    /// more: a faulted-in member is reported swapped at its image's
+    /// cursor, and its state survives in the WAL's swap-out checkpoint.
+    pub(crate) fn put_back(&mut self, start: Start) {
+        let (id, residency) = match start {
+            Start::Build(spec) => (spec.id, Residency::Cold(spec)),
+            Start::FaultIn { snap, .. } => (
+                snap.spec.id,
+                Residency::Swapped {
+                    decisions_fnv: snap.decisions_fnv,
+                },
+            ),
+        };
+        self.admission.make_swapped(id);
+        self.table.get_mut(&id).expect("admitted").residency = residency;
+    }
+
+    /// Retires a session whose restore diverged from its digests.
+    pub(crate) fn fail_closed(&mut self, id: u64) {
+        self.metrics.counter("fleet.swap_fault_failures").incr();
+        self.metrics.counter("fleet.restore_failures").incr();
+        self.retire(id, Residency::Failed);
+    }
 }
 
 #[cfg(test)]
@@ -1224,26 +793,27 @@ mod tests {
         fleet
             .submit(SessionSpec::new(7, 0xabc).with_duration_s(0.4))
             .unwrap();
-        let served = fleet.metrics.counter("fleet.arrivals_served");
-        let late = fleet.metrics.counter("fleet.arrivals_late");
-        let arrivals = [Arrival {
+        let burst = Arrival {
             at_us: 0,
             session: 7,
             windows: 23,
-        }];
-        let mut deferred = Vec::new();
-        fleet.run_epoch(&arrivals, &mut deferred, &served, &late);
-        assert!(deferred.is_empty());
+        };
+        let mut fleet = fleet.0;
+        fleet.serve(&[vec![burst]]);
         assert!(fleet.swap_out(7), "eviction of a resident session");
 
-        let (image, _) = fleet.store.read(7).unwrap();
+        let tier = fleet.swap.as_mut().unwrap();
+        let (image, _) = tier.store.read(7).unwrap();
         let snap = SessionSnapshot::decode(&image).expect("swap image is valid SCSS");
         assert_eq!(snap.steps, 23, "evicted at the burst boundary");
 
+        // The last checkpoint is the swap-out's (a clean epoch-loop
+        // finish checkpoints resident sessions too).
         let scan = WalScan::open(&dir).unwrap();
         let checkpoint = scan
             .records
             .iter()
+            .rev()
             .find_map(|r| match r {
                 WalRecord::Checkpoint {
                     session: 7,
@@ -1253,22 +823,13 @@ mod tests {
             })
             .expect("swap-out appends a WAL checkpoint");
         assert_eq!(checkpoint, image, "swap image and WAL checkpoint drifted");
+        let decisions = scan
+            .records
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Decision { session: 7, .. }))
+            .count();
+        assert_eq!(decisions, 23, "one decision record per served window");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_arrivals_sums_bursts_and_keeps_order() {
-        let a = |s: u64, w: u32, t: u64| Arrival {
-            at_us: t,
-            session: s,
-            windows: w,
-        };
-        let merged = merge_arrivals(
-            vec![a(1, 4, 10), a(2, 6, 11)],
-            vec![a(2, 5, 90), a(3, 1, 95)],
-        );
-        assert_eq!(merged, vec![a(1, 4, 10), a(2, 11, 11), a(3, 1, 95)]);
-        assert_eq!(merge_arrivals(vec![], vec![a(9, 2, 0)]), vec![a(9, 2, 0)]);
     }
 
     #[test]

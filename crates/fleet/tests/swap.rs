@@ -9,10 +9,11 @@
 use scalo_core::session::{Session, SessionSpec};
 use scalo_core::snapshot::fnv1a;
 use scalo_fleet::{
-    ArrivalConfig, ArrivalPlan, DurabilityConfig, Fleet, FleetConfig, MetricsRegistry, SwapConfig,
-    SwapFleet, SwapOutcomeState, SwapReport,
+    AdmitError, ArrivalConfig, ArrivalPlan, DurabilityConfig, Fleet, FleetConfig, MetricsRegistry,
+    SwapConfig, SwapFleet, SwapOutcomeState, SwapReport,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: scalo_alloc::CountingAllocator = scalo_alloc::CountingAllocator;
@@ -183,6 +184,32 @@ fn pinned_sessions_are_never_swapped() {
     assert_eq!(report.sessions.iter().filter(|s| s.pinned).count(), 2);
 }
 
+/// A pinned refusal is a refusal: like a capacity refusal, it lands in
+/// the report's rejected ids and the `fleet.rejected` counter.
+#[test]
+fn pinned_refusals_are_reported() {
+    let spec = |id: u64| {
+        SessionSpec::new(id, 0x91e + id)
+            .with_duration_s(0.1)
+            .with_priority(255)
+    };
+    let mut fleet = SwapFleet::new(SwapConfig::new(1, 1));
+    fleet.submit(spec(1)).unwrap();
+    assert!(matches!(
+        fleet.submit(spec(2)),
+        Err(AdmitError::PinnedResidencyExhausted { .. })
+    ));
+    let metrics = Arc::clone(fleet.metrics());
+    let report = fleet.run(&ArrivalPlan {
+        epochs: Vec::new(),
+        total_arrivals: 0,
+        epoch_us: 50_000,
+    });
+    assert_eq!(report.rejected, vec![2]);
+    assert_eq!(metrics.counter("fleet.rejected").get(), 1);
+    assert_eq!(report.admitted, 1);
+}
+
 /// Crash a durable swap fleet mid-schedule with sessions parked on the
 /// image tier, recover from the WAL alone, and run everything to
 /// completion: the swapped-then-recovered decisions are byte-identical
@@ -194,8 +221,9 @@ fn crashed_swap_fleet_recovers_swapped_sessions_byte_identical() {
     let dir = wal_dir("crash");
     let dcfg = DurabilityConfig::new(&dir);
 
+    // 150 windows in, the kill lands epochs after the first swap-out.
     let mut fleet =
-        SwapFleet::open_durable(SwapConfig::new(2, 2).with_halt_after_epochs(5), &dcfg).unwrap();
+        SwapFleet::open_durable(SwapConfig::new(2, 2).with_halt_after_windows(150), &dcfg).unwrap();
     for spec in &specs {
         fleet.submit(spec.clone()).unwrap();
     }
@@ -233,6 +261,9 @@ fn crashed_swap_fleet_recovers_swapped_sessions_byte_identical() {
         built.len(),
         "every built session is in the log: {rec:?}"
     );
+    // Swap fleets log a decision per window, so recovery re-checks the
+    // logged digests past each session's last checkpoint.
+    assert!(rec.windows_replayed > 0, "no decision replayed: {rec:?}");
     let finished = recovered.run();
     assert!(finished.durability.as_ref().unwrap().clean_shutdown);
     for s in &finished.sessions {
