@@ -30,6 +30,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== benches compile =="
 cargo bench --workspace --no-run
 
+echo "== serving benchmark builds against the library (lockfile frozen) =="
+# perfbench is a package of its own with its own Cargo.lock. A library
+# API change that breaks it, or a dependency change that stales its
+# lockfile, fails here rather than when the benchmark runs; `--locked`
+# never rewrites the lockfile.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "== zero-allocation steady state (counting allocator) =="
 cargo test -q -p scalo-core --test hot_path
 

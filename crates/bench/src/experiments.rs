@@ -874,7 +874,7 @@ fn fleet_population(sessions: usize) -> Vec<SessionSpec> {
     // pipeline shapes are defined once (in `scalo_core::catalog`), and
     // only the serving envelope (duration, priority, radio wait, BER)
     // is set here.
-    let catalog = QueryCatalog::with_builtins(PlanConfig::default());
+    let catalog = QueryCatalog::with_builtins(PlanConfig);
     (0..sessions as u64)
         .map(|id| {
             let app = if id % 4 == 0 {
@@ -1204,13 +1204,10 @@ pub fn fleet(sessions: usize) {
 /// Small specs keep 10k cold builds affordable; the `fleet` experiment
 /// covers full-size implants at resident scale.
 fn swap_population(sessions: u64, pinned: u64) -> Vec<SessionSpec> {
-    // Single-electrode deployments compile their own catalog (the plan
-    // binds per-channel feature widths), then each spec is just a
-    // catalog entry plus the swap envelope.
-    let catalog = QueryCatalog::with_builtins(PlanConfig {
-        channels: 1,
-        ..PlanConfig::default()
-    });
+    // Each spec is a catalog entry plus the single-electrode deployment
+    // and the swap envelope; a plan's binding does not depend on the
+    // deployment, so the fleet population's catalog serves here too.
+    let catalog = QueryCatalog::with_builtins(PlanConfig);
     (0..sessions)
         .map(|id| {
             let app = if id % 7 == 1 {
@@ -1418,9 +1415,9 @@ pub fn write_bench_query_json(query_json: &str) -> std::io::Result<&'static str>
 /// `BENCH_fleet.json` under `"query"`.
 pub fn query() {
     header("Query compilation: source -> catalog -> plan -> fleet");
-    let catalog = QueryCatalog::with_builtins(PlanConfig::default());
+    let catalog = QueryCatalog::with_builtins(PlanConfig);
 
-    // -- the catalog: every built-in app as a compiled window plan --
+    // -- the catalog: every built-in app as a compiled plan --
     let rows: Vec<Vec<String>> = catalog
         .entries()
         .map(|e| {

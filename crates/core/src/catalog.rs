@@ -7,12 +7,15 @@
 //! [`QueryCatalog::register`] compiles and caches, [`CatalogEntry::spec`]
 //! stamps out query-backed [`SessionSpec`]s without recompiling.
 //!
-//! The three built-in entries reconstruct the hard-coded application
-//! pipelines the fleet and bench populations used to spell out by hand;
-//! their compiled plans bind the same movement cadence and transport
-//! flag, so query-admitted sessions produce decision digests
-//! byte-identical to spec-constructed ones (pinned by fleet tests and
-//! the `experiments query` smoke).
+//! It is a binding compiler, not a second runtime: a compiled entry
+//! contributes a [`SessionBinding`] (movement cadence, transport) and a
+//! placement budget, and the session it binds runs on the one serving
+//! window engine. The three built-in entries are the applications the
+//! fleet and bench populations serve; their plans bind the same
+//! movement cadence and transport flag as hand-set specs, so
+//! query-admitted sessions produce decision digests byte-identical to
+//! spec-constructed ones (pinned by fleet tests, the golden digests in
+//! `tests/golden.rs`, and the `experiments query` smoke).
 
 use crate::plan::{PlanConfig, PlanError, ProgramPlan, SessionBinding};
 use crate::session::SessionSpec;
@@ -89,34 +92,30 @@ impl CatalogEntry {
 }
 
 /// A registry of named queries with cached compiled plans.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct QueryCatalog {
-    cfg: PlanConfig,
     entries: BTreeMap<String, CatalogEntry>,
 }
 
 impl QueryCatalog {
-    /// An empty catalog compiling against `cfg`.
-    pub fn new(cfg: PlanConfig) -> Self {
-        Self {
-            cfg,
-            entries: BTreeMap::new(),
-        }
+    /// An empty catalog.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// A catalog preloaded with the three built-in applications:
     /// `seizure_watch`, `seizure_reliable`, and `movement_mix`.
-    pub fn with_builtins(cfg: PlanConfig) -> Self {
-        let mut cat = Self::new(cfg);
+    ///
+    /// The [`PlanConfig`] argument is fieldless and ignored; it stays
+    /// only because the serving benchmark (`perfbench`) calls
+    /// `with_builtins(PlanConfig::default())`, and goes when that call
+    /// does.
+    pub fn with_builtins(_: PlanConfig) -> Self {
+        let mut cat = Self::new();
         for source in [SEIZURE_WATCH, SEIZURE_RELIABLE, MOVEMENT_MIX] {
             cat.register(source).expect("built-in queries compile");
         }
         cat
-    }
-
-    /// The compile-time configuration entries are compiled against.
-    pub fn config(&self) -> PlanConfig {
-        self.cfg
     }
 
     /// Compiles `source` and registers it under its serving chain's
@@ -128,7 +127,7 @@ impl QueryCatalog {
     /// Any [`PlanError`] from [`ProgramPlan::compile`].
     pub fn register(&mut self, source: &str) -> Result<&CatalogEntry, PlanError> {
         let started = Instant::now();
-        let plan = ProgramPlan::compile(source, &self.cfg)?;
+        let plan = ProgramPlan::compile(source)?;
         let compile_us = started.elapsed().as_micros() as u64;
         let name = plan.name().to_string();
         let entry = CatalogEntry {
@@ -174,7 +173,7 @@ mod tests {
 
     #[test]
     fn builtins_register_under_their_serving_chain_names() {
-        let cat = QueryCatalog::with_builtins(PlanConfig::default());
+        let cat = QueryCatalog::with_builtins(PlanConfig);
         assert_eq!(
             cat.names(),
             ["movement_mix", "seizure_reliable", "seizure_watch"]
@@ -196,7 +195,7 @@ mod tests {
 
     #[test]
     fn specs_carry_binding_and_canonical_query() {
-        let cat = QueryCatalog::with_builtins(PlanConfig::default());
+        let cat = QueryCatalog::with_builtins(PlanConfig);
         let mix = cat.get("movement_mix").unwrap();
         let spec = mix.spec(7, 0xabc);
         assert_eq!(spec.id, 7);
@@ -206,13 +205,13 @@ mod tests {
         let query = spec.query.as_deref().unwrap();
         assert_eq!(query, mix.source());
         // The carried source is canonical: recompiling reproduces it.
-        let again = ProgramPlan::compile(query, &PlanConfig::default()).unwrap();
+        let again = ProgramPlan::compile(query).unwrap();
         assert_eq!(again.source(), query);
     }
 
     #[test]
     fn reregistering_replaces_the_cached_plan() {
-        let mut cat = QueryCatalog::new(PlanConfig::default());
+        let mut cat = QueryCatalog::new();
         cat.register(SEIZURE_WATCH).unwrap();
         assert!(
             !cat.get("seizure_watch")
@@ -237,7 +236,7 @@ mod tests {
     /// knobs were set by hand.
     #[test]
     fn every_builtin_digests_like_its_hand_built_twin_across_seeds() {
-        let cat = QueryCatalog::with_builtins(PlanConfig::default());
+        let cat = QueryCatalog::with_builtins(PlanConfig);
         for seed in [0x1u64, 0xabc, 0xdead_beef] {
             for entry in cat.entries() {
                 let mut queried =
@@ -262,7 +261,7 @@ mod tests {
 
     #[test]
     fn bad_queries_do_not_register() {
-        let mut cat = QueryCatalog::new(PlanConfig::default());
+        let mut cat = QueryCatalog::new();
         let err = cat
             .register("var q = stream.window(wsize=4ms).ccheck()")
             .unwrap_err();

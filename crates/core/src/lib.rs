@@ -21,8 +21,9 @@
 //!   structurally identical sessions (a solo session is a cohort of
 //!   one) share one radio stall, one fused block hash, and one FFT-plan
 //!   walk per window, with per-session decisions unchanged;
-//! * [`plan`] — query → executable window-plan compilation: typed
-//!   validation, kernel binding, and the ILP admission budget;
+//! * [`plan`] — query → plan binding compiler: typed validation,
+//!   chain roles and cadences, the session binding, and the ILP
+//!   admission budget;
 //! * [`catalog`] — named query registry with cached compiled plans and
 //!   the three built-in applications;
 //! * [`workspace`] — reusable per-session scratch buffers backing the

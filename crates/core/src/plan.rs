@@ -1,57 +1,44 @@
-//! Query → plan compilation: the middle layer between the language and
-//! the serving fleet (ROADMAP item 3).
+//! Query → plan compilation: the binding compiler between the language
+//! and the serving fleet.
 //!
 //! `scalo-query` lowers fluent source into an untyped operator [`Dag`];
-//! this module takes that DAG the rest of the way to something a
-//! serving tier can run and budget:
+//! this module takes that DAG the rest of the way to what a serving
+//! tier admits and budgets by. Like the paper's compiler, it places a
+//! query rather than interpreting it: the window path that runs is the
+//! serving engine ([`crate::cohort::Cohort::step_window`]), and a plan
+//! only decides how a session is bound to it.
 //!
 //! 1. **Validate** the chain into typed operator nodes — window first,
 //!    hash before collision-check, collision-check before DTW confirm,
 //!    a feature stage before any decoder, `call_runtime` terminal.
-//! 2. **Bind** the typed nodes to the batched kernels the window hot
-//!    path already uses — [`BandpassBank`],
-//!    [`FftScratch`](scalo_signal::fft::FftScratch)-backed band
-//!    power, the SSH sketcher, pruned DTW, and the three decoders —
-//!    each with its scratch preallocated at compile time, producing a
-//!    topo-ordered list of [`PlanStep`]s.
-//! 3. **Derive the session binding**: which chain serves at the 4 ms
-//!    seizure cadence, the movement-mix cadence (in serving windows),
-//!    and whether hash broadcasts ride the reliable transport.
-//! 4. **Budget** the placement with the `scalo-sched` seizure ILP
-//!    ([`resolve_budget`]) so admission can refuse queries whose fixed
-//!    overheads alone blow the per-node power limit.
+//! 2. **Role and cadence**: a chain carrying detection stages is the
+//!    serving chain and must run at the 4 ms seizure cadence; a chain
+//!    carrying a decoder is the movement mix and runs every N serving
+//!    windows.
+//! 3. **Derive the session binding** ([`SessionBinding`]): the
+//!    movement-mix cadence and whether hash broadcasts ride the
+//!    reliable transport.
+//! 4. **Budget** the placement: each chain's serial worst-case PE
+//!    latency ([`WindowPlan::predicted_window_ms`]) and the `scalo-sched`
+//!    seizure ILP ([`resolve_budget`]), so admission can refuse queries
+//!    whose fixed overheads alone blow the per-node power limit.
 //!
-//! Executing a compiled [`WindowPlan`] over a [`ChannelBlock`] folds
-//! every stage's outputs through FNV-1a into a window digest, so two
-//! compilations of the same source are checkable for equivalence the
-//! same way sessions are: byte-identical digests or it didn't happen.
+//! Compilation depends on the source alone: two compilations of one
+//! program bind identically, and the canonical re-printed source
+//! recompiles to itself.
 
 use crate::apps::seizure::WINDOW_US;
-use crate::snapshot::Fnv64;
-use crate::workspace::Workspace;
-use scalo_lsh::{HashConfig, Measure, SshHasher};
-use scalo_ml::kalman::{KalmanFilter, KalmanModel, KalmanScratch};
-use scalo_ml::nn::{NnScratch, ShallowNn};
-use scalo_ml::svm::LinearSvm;
-use scalo_ml::Matrix;
 use scalo_query::{compile_program, Dag, Operator, QueryError};
 use scalo_sched::map::pes_for_dag;
 use scalo_sched::seizure::{solve, Priorities, SeizureSchedule};
 use scalo_sched::Scenario;
-use scalo_signal::block::ChannelBlock;
-use scalo_signal::dtw::{dtw_distance_pruned, DtwParams};
-use scalo_signal::fft::band_power_features_into;
-use scalo_signal::filter::{BandpassBank, BandpassDesign};
-use scalo_signal::spike::{spike_band_power, spike_threshold_with};
-use scalo_signal::xcor::max_lagged_pearson;
-use scalo_signal::SAMPLE_RATE_HZ;
 use std::fmt;
 
 /// The serving cadence every plan is scheduled against: the seizure
 /// app's 4 ms window.
 pub const SERVING_WINDOW_MS: f64 = WINDOW_US as f64 / 1_000.0;
 
-/// Why a query could not be compiled to an executable plan.
+/// Why a query could not be compiled to a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The source failed to lex, parse, or lower.
@@ -153,157 +140,56 @@ pub enum ChainRole {
 /// the validator has checked its inputs exist. Stream-shaping operators
 /// (`map`, non-detect `select`) type to nothing — they shape the query,
 /// not the window path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TypedNode {
     Detect,
-    Filter { lo_hz: f64, hi_hz: f64 },
-    Feature(FeatureKind),
-    SpikeDetect,
-    Hash(Measure),
-    CollisionCheck { reliable: bool },
-    Dtw,
-    Classify(ClassifierKind),
-    Stim,
-    Emit,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FeatureKind {
-    Sbp,
-    Fft,
-    Xcor,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClassifierKind {
-    Svm,
-    Nn,
-    Kf,
-}
-
-/// Compile-time configuration: how many channels the bound kernels are
-/// sized for and the seed deterministic decoder weights derive from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanConfig {
-    /// Channels per window block (electrodes on the serving implant).
-    pub channels: usize,
-    /// Seed for deterministically generated decoder weights.
-    pub seed: u64,
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        Self {
-            channels: 4,
-            seed: 0x5ca1_0b1d,
-        }
-    }
-}
-
-/// One executable stage of a compiled window plan, kernels and scratch
-/// bound at compile time.
-#[derive(Debug)]
-pub enum PlanStep {
-    /// Fused Butterworth band-pass over every channel (in place).
-    Bandpass {
-        /// The bank, its state slabs preallocated for the plan's
-        /// channel count.
-        bank: BandpassBank,
-    },
-    /// Per-channel spectral band-power features (FFT PE path).
+    Bandpass,
     FftFeatures,
-    /// Per-channel spike-band power (SBP feature path).
     SpikeBandPower,
-    /// Adjacent-channel lagged-correlation features (XCOR PE path).
-    XcorFeatures {
-        /// Maximum lag searched, in samples.
-        max_lag: usize,
-    },
-    /// Per-channel threshold crossings (NEO + THR path).
-    SpikeDetect {
-        /// Threshold in robust standard deviations.
-        threshold_k: f64,
-    },
-    /// Per-channel seizure vote: band-power features through a seeded
-    /// linear SVM (the BBF→FFT→XCOR→SVM detection cluster).
-    SeizureDetect {
-        /// The detection SVM over the spectral feature bands.
-        svm: LinearSvm,
-    },
-    /// SSH sketch of every channel window.
-    Hash {
-        /// The sketcher, configured for the query's measure.
-        hasher: SshHasher,
-    },
-    /// Pairwise Hamming probe over the window's hashes.
-    CollisionProbe {
-        /// Hamming radius counted as a collision.
-        tolerance: u32,
-        /// Whether the broadcast rides the reliable transport (session
-        /// binding; folded so plans differ when the transport does).
-        reliable: bool,
-    },
-    /// Banded, pruned DTW confirm over adjacent channel pairs.
-    DtwConfirm {
-        /// Band parameters.
-        params: DtwParams,
-        /// Prune/decision cutoff.
-        cutoff: f64,
-    },
-    /// Linear-SVM decode over the last feature vector.
-    ClassifySvm {
-        /// Seeded decoder.
-        svm: LinearSvm,
-    },
-    /// Shallow-NN decode over the last feature vector. Boxed like
-    /// [`PlanStep::ClassifyKf`]: weight matrices dominate the enum.
-    ClassifyNn {
-        /// Seeded decoder.
-        nn: Box<ShallowNn>,
-        /// Preallocated forward-pass scratch.
-        scratch: Box<NnScratch>,
-        /// Preallocated output vector.
-        out: Vec<f64>,
-    },
-    /// Kalman decode treating the feature vector as the observation.
-    /// Boxed: the filter's matrices dwarf every other variant, and the
-    /// steady-state path only follows the pointer once per rotation.
-    ClassifyKf {
-        /// The filter (state carried across windows, like a real
-        /// decoder).
-        kf: Box<KalmanFilter>,
-        /// Preallocated step scratch.
-        scratch: Box<KalmanScratch>,
-    },
-    /// Stimulation command hand-off (DAC path; control decision only).
+    XcorFeatures,
+    SpikeDetect,
+    Hash,
+    CollisionProbe,
+    DtwConfirm,
+    ClassifySvm,
+    ClassifyNn,
+    ClassifyKf,
     Stim,
-    /// Result hand-off to the MC runtime.
     Emit,
 }
 
-impl PlanStep {
-    /// The step's name, for reports and tests.
-    pub fn name(&self) -> &'static str {
+impl TypedNode {
+    /// The stage's name, for reports and tests.
+    fn name(self) -> &'static str {
         match self {
-            Self::Bandpass { .. } => "bandpass",
+            Self::Detect => "seizure_detect",
+            Self::Bandpass => "bandpass",
             Self::FftFeatures => "fft_features",
             Self::SpikeBandPower => "spike_band_power",
-            Self::XcorFeatures { .. } => "xcor_features",
-            Self::SpikeDetect { .. } => "spike_detect",
-            Self::SeizureDetect { .. } => "seizure_detect",
-            Self::Hash { .. } => "hash",
-            Self::CollisionProbe { .. } => "collision_probe",
-            Self::DtwConfirm { .. } => "dtw_confirm",
-            Self::ClassifySvm { .. } => "classify_svm",
-            Self::ClassifyNn { .. } => "classify_nn",
-            Self::ClassifyKf { .. } => "classify_kf",
+            Self::XcorFeatures => "xcor_features",
+            Self::SpikeDetect => "spike_detect",
+            Self::Hash => "hash",
+            Self::CollisionProbe => "collision_probe",
+            Self::DtwConfirm => "dtw_confirm",
+            Self::ClassifySvm => "classify_svm",
+            Self::ClassifyNn => "classify_nn",
+            Self::ClassifyKf => "classify_kf",
             Self::Stim => "stim",
             Self::Emit => "emit",
         }
     }
 }
 
-/// One chain compiled to an executable, topo-ordered step list.
+/// A fieldless placeholder: compiling a program depends on its source
+/// alone, so a plan has no options. It remains only as the argument of
+/// [`QueryCatalog::with_builtins`](crate::catalog::QueryCatalog::with_builtins),
+/// which the serving benchmark (`perfbench`) calls with
+/// `PlanConfig::default()`; it is removed together with that call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanConfig;
+
+/// One chain compiled: its validated stage list, role, cadence, and
+/// predicted fabric latency.
 #[derive(Debug)]
 pub struct WindowPlan {
     name: String,
@@ -311,20 +197,19 @@ pub struct WindowPlan {
     window_ms: f64,
     cadence: usize,
     predicted_window_ms: f64,
-    steps: Vec<PlanStep>,
+    nodes: Vec<TypedNode>,
 }
 
 impl WindowPlan {
-    /// Validates and binds one lowered chain against `cfg`.
+    /// Validates one lowered chain and derives its role and cadence.
     ///
     /// # Errors
     ///
     /// Any [`PlanError`] except `Query`/`BadProgram`/`Infeasible`.
-    pub fn compile(dag: &Dag, cfg: &PlanConfig) -> Result<Self, PlanError> {
+    pub fn compile(dag: &Dag) -> Result<Self, PlanError> {
         let (window_ms, nodes) = typecheck(dag)?;
         let role = chain_role(dag, &nodes)?;
         let cadence = cadence_of(dag, role, window_ms)?;
-        let steps = bind(&nodes, cfg);
         let predicted_window_ms = pes_for_dag(dag)
             .into_iter()
             .map(|pe| scalo_hw::pe::spec(pe).latency.worst_ms(SERVING_WINDOW_MS))
@@ -335,7 +220,7 @@ impl WindowPlan {
             window_ms,
             cadence,
             predicted_window_ms,
-            steps,
+            nodes,
         })
     }
 
@@ -366,147 +251,11 @@ impl WindowPlan {
         self.predicted_window_ms
     }
 
-    /// The bound steps, in execution order.
-    pub fn steps(&self) -> &[PlanStep] {
-        &self.steps
-    }
-
-    /// Step names in execution order, for reports.
+    /// The validated stage names in chain order, for reports.
     pub fn step_names(&self) -> Vec<&'static str> {
-        self.steps.iter().map(PlanStep::name).collect()
-    }
-
-    /// Runs every bound step over one window `block`, reusing the
-    /// session workspace's scratch, and returns the FNV-1a digest of
-    /// everything the stages produced. Deterministic: same plan, same
-    /// block, same digest — on any host, any thread.
-    pub fn execute_window(&mut self, block: &mut ChannelBlock, ws: &mut Workspace) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(block.channels() as u64);
-        h.write_u64(block.samples() as u64);
-        for step in &mut self.steps {
-            execute_step(step, block, ws, &mut h);
-        }
-        h.finish()
+        self.nodes.iter().map(|n| n.name()).collect()
     }
 }
-
-fn execute_step(step: &mut PlanStep, block: &mut ChannelBlock, ws: &mut Workspace, h: &mut Fnv64) {
-    let channels = block.channels();
-    match step {
-        PlanStep::Bandpass { bank } => {
-            bank.process_block(block);
-            for &x in block.data() {
-                h.write_f64(x);
-            }
-        }
-        PlanStep::FftFeatures => {
-            for c in 0..channels {
-                block.copy_channel_into(c, &mut ws.chan);
-                band_power_features_into(&ws.chan, &mut ws.fft, &mut ws.features);
-                for &f in &ws.features {
-                    h.write_f64(f);
-                }
-            }
-            // Leave the last channel's features in `ws.features` for a
-            // downstream decoder — matches the per-implant serving path
-            // where the decoder consumes the final electrode's features.
-        }
-        PlanStep::SpikeBandPower => {
-            ws.features.clear();
-            for c in 0..channels {
-                block.copy_channel_into(c, &mut ws.chan);
-                ws.features.push(spike_band_power(&ws.chan));
-            }
-            for &f in &ws.features {
-                h.write_f64(f);
-            }
-        }
-        PlanStep::XcorFeatures { max_lag } => {
-            ws.features.clear();
-            for c in 0..channels {
-                block.copy_channel_into(c, &mut ws.znorm_a);
-                block.copy_channel_into((c + 1) % channels, &mut ws.znorm_b);
-                let (lag, r) = max_lagged_pearson(&ws.znorm_a, &ws.znorm_b, *max_lag);
-                h.write_u64(lag as u64);
-                ws.features.push(r);
-            }
-            for &f in &ws.features {
-                h.write_f64(f);
-            }
-        }
-        PlanStep::SpikeDetect { threshold_k } => {
-            for c in 0..channels {
-                block.copy_channel_into(c, &mut ws.chan);
-                let thr = spike_threshold_with(&mut ws.znorm_a, &ws.chan, *threshold_k);
-                let crossings = ws.chan.iter().filter(|&&x| x.abs() > thr).count();
-                h.write_u64(crossings as u64);
-            }
-        }
-        PlanStep::SeizureDetect { svm } => {
-            for c in 0..channels {
-                block.copy_channel_into(c, &mut ws.chan);
-                band_power_features_into(&ws.chan, &mut ws.fft, &mut ws.features);
-                h.write_u64(u64::from(svm.predict(&ws.features)));
-            }
-        }
-        PlanStep::Hash { hasher } => {
-            hasher.hash_block_into(block, &mut ws.block_hash, &mut ws.hashes);
-            for hash in &ws.hashes {
-                h.write_bytes(&hash.0);
-            }
-        }
-        PlanStep::CollisionProbe {
-            tolerance,
-            reliable,
-        } => {
-            let mut collisions = 0u64;
-            for a in 0..ws.hashes.len() {
-                for b in (a + 1)..ws.hashes.len() {
-                    if ws.hashes[a].hamming(&ws.hashes[b]) <= *tolerance {
-                        collisions += 1;
-                    }
-                }
-            }
-            h.write_u64(collisions);
-            h.write_u64(u64::from(*reliable));
-        }
-        PlanStep::DtwConfirm { params, cutoff } => {
-            for c in 0..channels.saturating_sub(1) {
-                block.copy_channel_into(c, &mut ws.znorm_a);
-                block.copy_channel_into(c + 1, &mut ws.znorm_b);
-                let out =
-                    dtw_distance_pruned(&mut ws.dtw, &ws.znorm_a, &ws.znorm_b, *params, *cutoff);
-                h.write_u64(u64::from(out.distance < *cutoff));
-            }
-        }
-        PlanStep::ClassifySvm { svm } => {
-            h.write_f64(svm.decision(&ws.features));
-        }
-        PlanStep::ClassifyNn { nn, scratch, out } => {
-            nn.forward_into(&ws.features, scratch, out);
-            for &y in out.iter() {
-                h.write_f64(y);
-            }
-        }
-        PlanStep::ClassifyKf { kf, scratch } => {
-            // A singular innovation covariance is a function of the
-            // seeded model alone; the sentinel is as deterministic as a
-            // real decode (same convention as the movement mix).
-            match kf.step_with(&ws.features, scratch) {
-                Ok(state) => {
-                    for &x in state {
-                        h.write_f64(x);
-                    }
-                }
-                Err(_) => h.write_f64(f64::MAX),
-            }
-        }
-        PlanStep::Stim => h.write_u64(0x5717),
-        PlanStep::Emit => h.write_u64(0xca11),
-    }
-}
-
 /// First pass: untyped operators → typed nodes, with input/order
 /// checking. Returns the chain's window size alongside the nodes.
 fn typecheck(dag: &Dag) -> Result<(f64, Vec<TypedNode>), PlanError> {
@@ -548,40 +297,30 @@ fn typecheck(dag: &Dag) -> Result<(f64, Vec<TypedNode>), PlanError> {
                 detected = true;
                 TypedNode::Detect
             }
-            Operator::Bbf { lo_hz, hi_hz } => TypedNode::Filter {
-                lo_hz: *lo_hz,
-                hi_hz: *hi_hz,
-            },
+            Operator::Bbf { .. } => TypedNode::Bandpass,
             Operator::Sbp => {
                 featured = true;
-                TypedNode::Feature(FeatureKind::Sbp)
+                TypedNode::SpikeBandPower
             }
             Operator::Fft => {
                 featured = true;
-                TypedNode::Feature(FeatureKind::Fft)
+                TypedNode::FftFeatures
             }
             Operator::Xcor => {
                 featured = true;
-                TypedNode::Feature(FeatureKind::Xcor)
+                TypedNode::XcorFeatures
             }
             Operator::SpikeDetect => TypedNode::SpikeDetect,
-            Operator::Hash { measure } => {
+            Operator::Hash { .. } => {
                 hashed = true;
-                TypedNode::Hash(match measure.as_str() {
-                    "euclidean" => Measure::Euclidean,
-                    "xcor" => Measure::Xcor,
-                    "emd" => Measure::Emd,
-                    _ => Measure::Dtw,
-                })
+                TypedNode::Hash
             }
-            Operator::CollisionCheck { reliable } => {
+            Operator::CollisionCheck { .. } => {
                 if !hashed {
                     return Err(misplaced("ccheck", "needs a `hash` stage to probe"));
                 }
                 checked = true;
-                TypedNode::CollisionCheck {
-                    reliable: *reliable,
-                }
+                TypedNode::CollisionProbe
             }
             Operator::Dtw => {
                 if !checked {
@@ -591,7 +330,7 @@ fn typecheck(dag: &Dag) -> Result<(f64, Vec<TypedNode>), PlanError> {
                     ));
                 }
                 confirmed = true;
-                TypedNode::Dtw
+                TypedNode::DtwConfirm
             }
             Operator::Svm | Operator::Nn | Operator::Kf { .. } => {
                 if !featured {
@@ -604,11 +343,11 @@ fn typecheck(dag: &Dag) -> Result<(f64, Vec<TypedNode>), PlanError> {
                     return Err(misplaced("decoder", "appears twice; chains carry one"));
                 }
                 classified = true;
-                TypedNode::Classify(match op {
-                    Operator::Svm => ClassifierKind::Svm,
-                    Operator::Nn => ClassifierKind::Nn,
-                    _ => ClassifierKind::Kf,
-                })
+                match op {
+                    Operator::Svm => TypedNode::ClassifySvm,
+                    Operator::Nn => TypedNode::ClassifyNn,
+                    _ => TypedNode::ClassifyKf,
+                }
             }
             Operator::Stim => {
                 if !detected && !confirmed {
@@ -641,13 +380,18 @@ fn chain_role(dag: &Dag, nodes: &[TypedNode]) -> Result<ChainRole, PlanError> {
         matches!(
             n,
             TypedNode::Detect
-                | TypedNode::Hash(_)
-                | TypedNode::CollisionCheck { .. }
-                | TypedNode::Dtw
+                | TypedNode::Hash
+                | TypedNode::CollisionProbe
+                | TypedNode::DtwConfirm
                 | TypedNode::Stim
         )
     });
-    let movement = nodes.iter().any(|n| matches!(n, TypedNode::Classify(_)));
+    let movement = nodes.iter().any(|n| {
+        matches!(
+            n,
+            TypedNode::ClassifySvm | TypedNode::ClassifyNn | TypedNode::ClassifyKf
+        )
+    });
     match (seizure, movement) {
         (true, true) => Err(PlanError::AmbiguousRole {
             chain: dag.name.clone(),
@@ -689,113 +433,6 @@ fn cadence_of(dag: &Dag, role: ChainRole, window_ms: f64) -> Result<usize, PlanE
     }
 }
 
-/// Final pass: typed nodes → executable steps with kernels and scratch
-/// bound. Infallible — validation already ran.
-fn bind(nodes: &[TypedNode], cfg: &PlanConfig) -> Vec<PlanStep> {
-    let channels = cfg.channels.max(1);
-    let mut feature_dim = 0usize;
-    let mut steps = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        steps.push(match node {
-            TypedNode::Detect => PlanStep::SeizureDetect {
-                svm: seeded_svm(cfg.seed, 0xd3, scalo_signal::fft::FEATURE_BANDS.len()),
-            },
-            TypedNode::Filter { lo_hz, hi_hz } => {
-                let design = BandpassDesign::new(2, *lo_hz, *hi_hz, SAMPLE_RATE_HZ);
-                PlanStep::Bandpass {
-                    bank: BandpassBank::new(&design, channels),
-                }
-            }
-            TypedNode::Feature(kind) => match kind {
-                FeatureKind::Fft => {
-                    feature_dim = scalo_signal::fft::FEATURE_BANDS.len();
-                    PlanStep::FftFeatures
-                }
-                FeatureKind::Sbp => {
-                    feature_dim = channels;
-                    PlanStep::SpikeBandPower
-                }
-                FeatureKind::Xcor => {
-                    feature_dim = channels;
-                    PlanStep::XcorFeatures { max_lag: 8 }
-                }
-            },
-            TypedNode::SpikeDetect => PlanStep::SpikeDetect { threshold_k: 4.0 },
-            TypedNode::Hash(measure) => PlanStep::Hash {
-                hasher: SshHasher::new(HashConfig::for_measure(*measure)),
-            },
-            TypedNode::CollisionCheck { reliable } => PlanStep::CollisionProbe {
-                tolerance: 8,
-                reliable: *reliable,
-            },
-            TypedNode::Dtw => PlanStep::DtwConfirm {
-                params: DtwParams::with_band(8),
-                cutoff: 25.0,
-            },
-            TypedNode::Classify(kind) => {
-                let dim = feature_dim.max(1);
-                match kind {
-                    ClassifierKind::Svm => PlanStep::ClassifySvm {
-                        svm: seeded_svm(cfg.seed, 0x57, dim),
-                    },
-                    ClassifierKind::Nn => PlanStep::ClassifyNn {
-                        nn: Box::new(seeded_nn(cfg.seed, dim, 8, 3)),
-                        scratch: Box::new(NnScratch::new()),
-                        out: Vec::with_capacity(3),
-                    },
-                    ClassifierKind::Kf => PlanStep::ClassifyKf {
-                        kf: Box::new(seeded_kf(cfg.seed, dim)),
-                        scratch: Box::new(KalmanScratch::new()),
-                    },
-                }
-            }
-            TypedNode::Stim => PlanStep::Stim,
-            TypedNode::Emit => PlanStep::Emit,
-        });
-    }
-    steps
-}
-
-/// SplitMix64: the deterministic weight stream decoder binding draws
-/// from. Same seed, same weights, on every host.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `n` deterministic weights in `[-1, 1)`.
-fn seeded_weights(seed: u64, tag: u64, n: usize) -> Vec<f64> {
-    let mut state = seed ^ tag.wrapping_mul(0x2545_f491_4f6c_dd1d);
-    (0..n)
-        .map(|_| (splitmix(&mut state) >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0)
-        .collect()
-}
-
-fn seeded_svm(seed: u64, tag: u64, dim: usize) -> LinearSvm {
-    LinearSvm::new(seeded_weights(seed, tag, dim), 0.0)
-}
-
-fn seeded_nn(seed: u64, input: usize, hidden: usize, output: usize) -> ShallowNn {
-    let w1 = Matrix::from_vec(hidden, input, seeded_weights(seed, 0x11, hidden * input));
-    let b1 = Matrix::from_vec(hidden, 1, seeded_weights(seed, 0x12, hidden));
-    let w2 = Matrix::from_vec(output, hidden, seeded_weights(seed, 0x13, output * hidden));
-    let b2 = Matrix::from_vec(output, 1, seeded_weights(seed, 0x14, output));
-    ShallowNn::new(w1, b1, w2, b2)
-}
-
-fn seeded_kf(seed: u64, obs: usize) -> KalmanFilter {
-    // Constant-velocity state over a seeded observation projection; Q is
-    // diagonally dominated so the innovation covariance stays regular.
-    let a = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 1.0]]);
-    let w = Matrix::identity(2).scale(0.01);
-    let h = Matrix::from_vec(obs, 2, seeded_weights(seed, 0x15, obs * 2));
-    let q = Matrix::identity(obs).scale(0.1);
-    KalmanFilter::new(KalmanModel::new(a, w, h, q))
-}
-
 /// The session-level knobs a compiled program pins down: everything a
 /// [`crate::session::SessionSpec`] needs beyond its identity fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -817,18 +454,18 @@ pub struct ProgramPlan {
 }
 
 impl ProgramPlan {
-    /// Compiles fluent source into an executable program plan.
+    /// Compiles fluent source into a program plan.
     ///
     /// # Errors
     ///
     /// Any [`PlanError`]: the source must lex/parse/lower, every chain
     /// must validate, and the mix must be exactly one serving chain
     /// plus at most one movement chain.
-    pub fn compile(source: &str, cfg: &PlanConfig) -> Result<Self, PlanError> {
+    pub fn compile(source: &str) -> Result<Self, PlanError> {
         let dags = compile_program(source)?;
         let mut chains = Vec::with_capacity(dags.len());
         for dag in &dags {
-            chains.push(WindowPlan::compile(dag, cfg)?);
+            chains.push(WindowPlan::compile(dag)?);
         }
         let seizure = chains
             .iter()
@@ -894,11 +531,6 @@ impl ProgramPlan {
         &self.chains
     }
 
-    /// Mutable access, for executing chains.
-    pub fn chains_mut(&mut self) -> &mut [WindowPlan] {
-        &mut self.chains
-    }
-
     /// The 4 ms serving chain.
     pub fn serving_chain(&self) -> &WindowPlan {
         self.chains
@@ -956,19 +588,9 @@ mod tests {
                        .ccheck(reliable).dtw().stim().call_runtime()\n\
                        var decode = stream.window(wsize=100ms).sbp().kf(kf_params).call_runtime()";
 
-    fn block(seed: u64, channels: usize) -> ChannelBlock {
-        let mut b = ChannelBlock::new();
-        b.reset(channels, crate::apps::seizure::WINDOW);
-        let mut state = seed;
-        for x in b.data_mut() {
-            *x = (splitmix(&mut state) >> 11) as f64 / (1u64 << 52) as f64 - 0.5;
-        }
-        b
-    }
-
     #[test]
     fn seizure_chain_compiles_to_ordered_steps() {
-        let plan = ProgramPlan::compile(SEIZURE, &PlanConfig::default()).unwrap();
+        let plan = ProgramPlan::compile(SEIZURE).unwrap();
         assert_eq!(plan.name(), "watch");
         assert_eq!(plan.binding().movement_every, 0);
         assert!(!plan.binding().use_reliable_transport);
@@ -990,7 +612,7 @@ mod tests {
 
     #[test]
     fn program_mix_derives_session_binding() {
-        let plan = ProgramPlan::compile(MIX, &PlanConfig::default()).unwrap();
+        let plan = ProgramPlan::compile(MIX).unwrap();
         assert_eq!(plan.chains().len(), 2);
         assert_eq!(
             plan.binding(),
@@ -1000,47 +622,37 @@ mod tests {
             }
         );
         // Canonical source recompiles to the same binding.
-        let again = ProgramPlan::compile(plan.source(), &PlanConfig::default()).unwrap();
+        let again = ProgramPlan::compile(plan.source()).unwrap();
         assert_eq!(again.binding(), plan.binding());
         assert_eq!(again.source(), plan.source());
     }
 
     #[test]
-    fn execution_digest_is_deterministic_and_input_sensitive() {
-        let cfg = PlanConfig::default();
-        let mut a = ProgramPlan::compile(SEIZURE, &cfg).unwrap();
-        let mut b = ProgramPlan::compile(SEIZURE, &cfg).unwrap();
-        let mut ws = Workspace::new();
-        let d1 = a.chains_mut()[0].execute_window(&mut block(7, cfg.channels), &mut ws);
-        let d2 = b.chains_mut()[0].execute_window(&mut block(7, cfg.channels), &mut ws);
-        assert_eq!(d1, d2, "two compilations of one source must agree");
-        let d3 = a.chains_mut()[0].execute_window(&mut block(8, cfg.channels), &mut ws);
-        assert_ne!(d1, d3, "different windows must digest differently");
-    }
-
-    #[test]
-    fn every_decoder_shape_executes() {
-        let cfg = PlanConfig::default();
-        for decoder in ["svm()", "nn()", "kf(kf_params)"] {
-            let src =
-                format!("var decode = stream.window(wsize=8ms).fft().{decoder}.call_runtime()");
-            let mut plan = ProgramPlan::compile(
-                &format!("var watch = stream.window(wsize=4ms).seizure_detect()\n{src}"),
-                &cfg,
-            )
+    fn every_decoder_shape_compiles_to_its_movement_chain() {
+        for (decoder, step) in [
+            ("svm()", "classify_svm"),
+            ("nn()", "classify_nn"),
+            ("kf(kf_params)", "classify_kf"),
+        ] {
+            let plan = ProgramPlan::compile(&format!(
+                "var watch = stream.window(wsize=4ms).seizure_detect()\n\
+                 var decode = stream.window(wsize=8ms).bbf(300, 3000).fft().{decoder}.call_runtime()"
+            ))
             .unwrap();
-            let mut ws = Workspace::new();
-            let movement = &mut plan.chains_mut()[1];
+            let movement = &plan.chains()[1];
+            assert_eq!(movement.role(), ChainRole::Movement);
             assert_eq!(movement.cadence(), 2);
-            let d = movement.execute_window(&mut block(3, cfg.channels), &mut ws);
-            assert_ne!(d, 0, "decoder {decoder} must fold outputs");
+            assert_eq!(plan.binding().movement_every, 2);
+            assert_eq!(
+                movement.step_names(),
+                ["bandpass", "fft_features", step, "emit"]
+            );
         }
     }
 
     #[test]
     fn validation_rejects_misordered_chains() {
-        let cfg = PlanConfig::default();
-        let compile = |src: &str| ProgramPlan::compile(src, &cfg);
+        let compile = ProgramPlan::compile;
         // ccheck without a hash.
         assert!(matches!(
             compile("var q = stream.window(wsize=4ms).ccheck()"),
@@ -1088,7 +700,7 @@ mod tests {
 
     #[test]
     fn budget_resolves_on_default_deployment() {
-        let plan = ProgramPlan::compile(SEIZURE, &PlanConfig::default()).unwrap();
+        let plan = ProgramPlan::compile(SEIZURE).unwrap();
         let budget = resolve_budget(&plan, 4, 15.0).unwrap();
         assert!(budget.schedule.weighted_mbps > 0.0);
         assert!(budget.predicted_window_ms > 0.0);
@@ -1097,5 +709,106 @@ mod tests {
             resolve_budget(&plan, 4, 1e-3),
             Err(PlanError::Infeasible { nodes: 4, .. })
         ));
+    }
+
+    /// Seeded mutation test of the query front end (lexer, parser,
+    /// lowering, validation): byte flips, truncations, splices of two
+    /// sources, and dropped or duplicated `.op()` segments of the
+    /// catalog and test programs. Every mutant must compile or fail
+    /// with a typed [`PlanError`]; none may panic. Two hostile inputs
+    /// run first as fixed regressions: 100,000 nested named arguments (a
+    /// 200 KB program that overflowed the parser's stack) and a
+    /// non-ASCII operator name.
+    #[test]
+    fn mutated_sources_compile_or_fail_typed() {
+        let nested = format!("var q = stream.window({}1ms)", "x=".repeat(100_000));
+        for hostile in [nested.as_str(), "var q = stream.é()"] {
+            assert!(matches!(
+                ProgramPlan::compile(hostile),
+                Err(PlanError::Query(_))
+            ));
+        }
+        let corpus = [
+            SEIZURE,
+            MIX,
+            crate::catalog::SEIZURE_WATCH,
+            crate::catalog::SEIZURE_RELIABLE,
+            crate::catalog::MOVEMENT_MIX,
+            "var decode = stream.window(wsize=8ms).bbf(300, 3000).xcor().nn().call_runtime()",
+            "var seizure_data = stream.Map(s => s.select(s => s.data), s.locID)\
+             .window(wsize=4ms).select(w => w.time >= -5000)\
+             .select(w => w.seizure_detect(), w[-100ms:100ms]).spike_detect().hash(emd)",
+        ];
+        let mut state = 0x5ca1_f22du64;
+        let mut next = |bound: usize| {
+            // xorshift64*: std-only and seeded, so every run replays.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as usize % bound.max(1)
+        };
+        for _ in 0..10_000 {
+            let mut src = corpus[next(corpus.len())].as_bytes().to_vec();
+            for _ in 0..1 + next(3) {
+                match next(5) {
+                    0 if !src.is_empty() => {
+                        let i = next(src.len());
+                        src[i] = (src[i] ^ (1 << next(7))) & 0x7f;
+                    }
+                    1 => src.truncate(next(src.len() + 1)),
+                    2 => {
+                        let other = corpus[next(corpus.len())].as_bytes();
+                        src.truncate(next(src.len() + 1));
+                        src.extend_from_slice(&other[next(other.len() + 1)..]);
+                    }
+                    op => {
+                        let segments = op_segments(&src);
+                        if segments.is_empty() {
+                            continue;
+                        }
+                        let (a, b) = segments[next(segments.len())];
+                        let segment = src[a..b].to_vec();
+                        if op == 3 {
+                            src.drain(a..b);
+                        } else {
+                            src.splice(b..b, segment);
+                        }
+                    }
+                }
+            }
+            let mutant = String::from_utf8(src).expect("mutations keep sources ASCII");
+            let outcome = std::panic::catch_unwind(|| {
+                ProgramPlan::compile(&mutant).map_err(|e| e.to_string())
+            });
+            assert!(outcome.is_ok(), "compiling {mutant:?} panicked");
+        }
+    }
+
+    /// Byte ranges of every `.name(…)` call in `src`, parentheses
+    /// balanced.
+    fn op_segments(src: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (dot, _) in src.iter().enumerate().filter(|(_, &b)| b == b'.') {
+            let mut i = dot + 1;
+            while i < src.len() && (src[i].is_ascii_alphanumeric() || src[i] == b'_') {
+                i += 1;
+            }
+            if i == dot + 1 || src.get(i) != Some(&b'(') {
+                continue;
+            }
+            let mut depth = 0usize;
+            for (j, &b) in src.iter().enumerate().skip(i) {
+                match b {
+                    b'(' => depth += 1,
+                    b')' => depth -= 1,
+                    _ => continue,
+                }
+                if depth == 0 {
+                    out.push((dot, j + 1));
+                    break;
+                }
+            }
+        }
+        out
     }
 }

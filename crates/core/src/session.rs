@@ -16,7 +16,7 @@ use crate::apps::movement;
 use crate::apps::seizure::{PropagationRun, RunState, SeizureApp, WINDOW_US};
 use crate::cohort::{Charge, MemberLanes};
 use crate::config::ScaloConfig;
-use crate::plan::{PlanConfig, PlanError, ProgramPlan};
+use crate::plan::{PlanError, ProgramPlan};
 use crate::snapshot::{fnv1a, Fnv64, SessionSnapshot, SnapshotError};
 use crate::workspace::Workspace;
 use scalo_data::ieeg::{generate, IeegConfig, MultiSiteRecording, SeizureEvent};
@@ -91,21 +91,16 @@ impl SessionSpec {
         }
     }
 
-    /// Compiles `source` ([`ProgramPlan::compile`] against this spec's
-    /// deployment and seed) and binds the result: movement cadence and
-    /// transport from the program, the canonical re-printed source
-    /// stored as the spec's query.
+    /// Compiles `source` ([`ProgramPlan::compile`]) and binds the
+    /// result: movement cadence and transport from the program, the
+    /// canonical re-printed source stored as the spec's query.
     ///
     /// # Errors
     ///
     /// Any [`PlanError`] — the source must compile to a servable
     /// program.
     pub fn with_query(mut self, source: &str) -> Result<Self, PlanError> {
-        let cfg = PlanConfig {
-            channels: self.electrodes,
-            seed: self.seed,
-        };
-        let plan = ProgramPlan::compile(source, &cfg)?;
+        let plan = ProgramPlan::compile(source)?;
         let binding = plan.binding();
         self.movement_every = binding.movement_every;
         self.use_reliable_transport = binding.use_reliable_transport;

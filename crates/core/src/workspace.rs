@@ -9,18 +9,18 @@
 //! workers keep it attached to the session across quantum switches. The
 //! window engine's own scratch — the fused block, batched hash and FFT
 //! intermediates, and the lane results — is the workspace's
-//! [`Cohort`] when the session steps as a cohort of one.
+//! [`Cohort`] when the session steps as a cohort of one. That engine is
+//! the only window executor; a compiled query plan only binds a session
+//! to it.
 //!
 //! The `*_into` APIs the workspace feeds are bit-identical to their
 //! allocating counterparts, so decision digests are unchanged whichever
 //! entry point runs.
 
 use crate::cohort::Cohort;
-use scalo_lsh::ssh::BlockHashScratch;
 use scalo_lsh::SignalHash;
 use scalo_net::compress::CompressScratch;
 use scalo_signal::dtw::DtwScratch;
-use scalo_signal::fft::FftScratch;
 use scalo_signal::simd::SimdLevel;
 use scalo_trace::Recorder;
 
@@ -37,11 +37,6 @@ pub struct Workspace {
     pub(crate) engine: Cohort,
     /// Quantised (i16 LE) window bytes staged for the NVM signal ring.
     pub quantized: Vec<u8>,
-    /// FFT intermediates for compiled-plan feature steps
-    /// ([`crate::plan::WindowPlan::execute_window`]).
-    pub fft: FftScratch,
-    /// Feature vector of compiled-plan steps.
-    pub features: Vec<f64>,
     /// DTW band intermediates for exact confirmation.
     pub dtw: DtwScratch,
     /// Z-normalised copy of the remote window (DTW confirm).
@@ -62,13 +57,6 @@ pub struct Workspace {
     /// Broadcast scratch (wire frame, per-receiver arrivals, payload
     /// slots) for the exchange-phase packet traffic.
     pub net: crate::system::BroadcastScratch,
-    /// Batched SSH intermediates for compiled-plan hash steps.
-    pub block_hash: BlockHashScratch,
-    /// Per-channel hashes of a compiled-plan hash step (slots recycled).
-    pub hashes: Vec<SignalHash>,
-    /// One gathered channel (contiguous) for compiled-plan per-channel
-    /// kernels.
-    pub chan: Vec<f64>,
     /// Received hashes parsed from a hash packet (slots recycled).
     pub received: Vec<SignalHash>,
     /// Hamming-probe expansion of a received batch (slots recycled).

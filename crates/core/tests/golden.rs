@@ -19,10 +19,7 @@ use scalo_data::ieeg::{generate, IeegConfig, SeizureEvent};
 /// exchange runs) per built-in entry, on a bit-error channel so the
 /// reliable transport changes the outcome.
 fn catalog_digests() -> Vec<(String, u64)> {
-    let catalog = QueryCatalog::with_builtins(PlanConfig {
-        channels: 4,
-        seed: 0x5ca1,
-    });
+    let catalog = QueryCatalog::with_builtins(PlanConfig);
     catalog
         .entries()
         .enumerate()

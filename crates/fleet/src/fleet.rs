@@ -12,7 +12,7 @@ use crate::pool::{self, PoolReport, Quantum, WorkUnit};
 use crate::swap::arrivals::Arrival;
 use crate::swap::SwapTier;
 use scalo_core::cohort::{Cohort, CohortKey};
-use scalo_core::plan::{resolve_budget, PlanConfig, PlanError, ProgramPlan};
+use scalo_core::plan::{resolve_budget, PlanError, ProgramPlan};
 use scalo_core::session::{Session, SessionSpec, StepOutcome};
 use scalo_core::snapshot::{fnv1a, SessionSnapshot};
 use scalo_core::ScaloConfig;
@@ -663,15 +663,11 @@ impl WorkUnit for GroupJob {
     }
 }
 
-/// Compiles `source` for `spec`'s deployment and re-solves the seizure
-/// ILP budget for it; also returns the compile and resolve latency, µs.
+/// Compiles `source` and re-solves the seizure ILP budget for `spec`'s
+/// deployment; also returns the compile and resolve latency, µs.
 fn compile_query(spec: &SessionSpec, source: &str) -> (Result<ProgramPlan, PlanError>, u64, u64) {
-    let cfg = PlanConfig {
-        channels: spec.electrodes,
-        seed: spec.seed,
-    };
     let t0 = Instant::now();
-    let plan = ProgramPlan::compile(source, &cfg);
+    let plan = ProgramPlan::compile(source);
     let compile_us = t0.elapsed().as_micros() as u64;
     let t1 = Instant::now();
     let plan = plan.and_then(|plan| {

@@ -212,10 +212,13 @@ pub fn lex(input: &str) -> Result<Vec<SpannedToken>, QueryError> {
                 }
                 push(Token::Ident(input[start..i].to_string()), &cur, start);
             }
-            other => {
+            _ => {
+                // `c` is one byte widened; report the whole (possibly
+                // multi-byte) character. Every arm above consumes ASCII
+                // or skips to an ASCII byte, so `i` is a char boundary.
                 return Err(QueryError::Lex {
                     span: cur.span_at(i),
-                    found: other,
+                    found: input[i..].chars().next().unwrap_or(c),
                 });
             }
         }
@@ -295,5 +298,24 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("line 2, column 10"), "{err}");
+    }
+
+    #[test]
+    fn non_ascii_character_is_reported_whole() {
+        let err = lex("stream.é()").unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Lex {
+                span: Span::new(1, 8),
+                found: 'é'
+            }
+        );
+        assert!(err.to_string().contains("'é'"), "{err}");
+        // A four-byte character after multi-byte string content.
+        let err = lex("q(\"ü\") 🧠").unwrap_err();
+        assert!(
+            matches!(err, QueryError::Lex { found: '🧠', .. }),
+            "{err:?}"
+        );
     }
 }

@@ -199,9 +199,16 @@ impl Parser {
             Some(Token::Number(v, unit)) => Ok(number_arg(v, unit)),
             Some(Token::Str(s)) => Ok(Arg::Str(s)),
             Some(Token::Ident(name)) => {
-                // Named argument?
+                // Named argument? Its value is any argument but another
+                // named one: rejecting `a=b=…` before recursing keeps the
+                // parse depth at two whatever the input.
                 if self.peek() == Some(&Token::Eq) {
                     self.next();
+                    let nested = matches!(self.peek(), Some(Token::Ident(_)))
+                        && self.peek_at(1) == Some(&Token::Eq);
+                    if nested {
+                        return Err(self.err_here("named arguments do not nest".into()));
+                    }
                     let value = self.parse_arg()?;
                     return Ok(Arg::Named(name, Box::new(value)));
                 }
@@ -487,6 +494,30 @@ mod tests {
                 message: "expected an argument".into(),
             }
         );
+    }
+
+    #[test]
+    fn nested_named_argument_is_rejected_at_the_inner_name() {
+        let err = parse("var q = stream.window(wsize=x=4ms)").unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::Parse {
+                span: Span::new(1, 29),
+                found: "x".into(),
+                message: "named arguments do not nest".into(),
+            }
+        );
+        // One level of naming still parses.
+        assert!(parse("var q = stream.window(wsize=4ms)").is_ok());
+    }
+
+    /// Regression: 100,000 nested named arguments (a 200 KB program)
+    /// used to recurse once per level and overflow the stack, aborting
+    /// the process; the parser now refuses the second level outright.
+    #[test]
+    fn deeply_nested_named_arguments_fail_closed() {
+        let src = format!("var q = stream.window({}1ms)", "x=".repeat(100_000));
+        assert!(matches!(parse_program(&src), Err(QueryError::Parse { .. })));
     }
 
     #[test]

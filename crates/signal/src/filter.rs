@@ -429,16 +429,6 @@ impl BandpassBank {
             crate::simd::biquad_block(self.level, data, c, &self.coeffs[s], z1, z2);
         }
     }
-
-    /// Filters a [`crate::block::ChannelBlock`] in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block's channel count differs from the bank's.
-    pub fn process_block(&mut self, block: &mut crate::block::ChannelBlock) {
-        assert_eq!(block.channels(), self.channels, "block vs bank channels");
-        self.process_interleaved(block.data_mut());
-    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,11 @@
 //! | DTW (Sakoe–Chiba banded dynamic time warping) | [`dtw`] |
 //! | NEO (non-linear energy operator) | [`spike`] |
 //! | THR (threshold) | [`spike`] |
-//! | SBP (spike-band power) | [`spike`] |
 //! | DWT (discrete wavelet transform) | [`dwt`] |
 //! | (EMD on the microcontroller) | [`emd`] |
+//!
+//! SBP (spike-band power) has no kernel here: the movement-intent
+//! workloads synthesise their spike-band features directly.
 //!
 //! All kernels operate on [`f64`] sample buffers; the implant ADC path is
 //! modelled by [`window::Adc`], which quantises to the 16-bit resolution the

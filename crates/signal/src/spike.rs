@@ -1,10 +1,6 @@
-//! Spike-domain operators: NEO, THR, SBP, and spike extraction.
+//! Spike-domain operators: NEO, THR, and spike extraction.
 //!
-//! These are the PEs at the front of the spike-sorting pipeline (Figure 7)
-//! and the feature extractor of movement-intent pipelines B/C (spike-band
-//! power over 50 ms windows, §2.2).
-
-use crate::stats::mean_abs;
+//! These are the PEs at the front of the spike-sorting pipeline (Figure 7).
 
 /// Non-linear energy operator: `ψ[n] = x[n]² − x[n−1]·x[n+1]`.
 ///
@@ -106,19 +102,6 @@ pub fn detect_spikes(x: &[f64], threshold_k: f64, pre: usize, post: usize) -> Ve
     spikes
 }
 
-/// Spike-band power: the mean absolute amplitude of a window.
-///
-/// Movement-intent pipelines B and C "calculate spike band power in neural
-/// signals by taking the mean value of all neural signals in a time window
-/// (typically 50 ms)" (§2.2). The input is expected to be band-passed to
-/// the spike band already (the SBP PE sits after the BBF in hardware).
-pub fn spike_band_power(window: &[f64]) -> f64 {
-    mean_abs(window)
-}
-
-/// Number of samples in the standard 50 ms movement-decoding window.
-pub const SBP_WINDOW_SAMPLES: usize = 1_500; // 50 ms at 30 kHz
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,11 +166,5 @@ mod tests {
         let x = synth_with_spikes(&[200], 400);
         let spikes = detect_spikes(&x, 5.0, 10, 22);
         assert_eq!(spikes.len(), 1);
-    }
-
-    #[test]
-    fn sbp_of_constant_window() {
-        assert!((spike_band_power(&[2.0; 10]) - 2.0).abs() < 1e-12);
-        assert!((spike_band_power(&[-2.0; 10]) - 2.0).abs() < 1e-12);
     }
 }

@@ -36,14 +36,6 @@ pub fn rms(xs: &[f64]) -> f64 {
     (xs.iter().map(|&x| x * x).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Mean absolute value of `xs`.
-pub fn mean_abs(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().map(|&x| x.abs()).sum::<f64>() / xs.len() as f64
-}
-
 /// Z-score normalisation: returns `(x - mean) / std` per element.
 ///
 /// If the standard deviation is (numerically) zero the original offsets are
@@ -114,7 +106,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(rms(&[]), 0.0);
-        assert_eq!(mean_abs(&[]), 0.0);
     }
 
     #[test]

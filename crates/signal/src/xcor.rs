@@ -36,74 +36,6 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
     (cov / (sa * sb)).clamp(-1.0, 1.0)
 }
 
-/// Maximum Pearson correlation over integer lags in `[-max_lag, max_lag]`,
-/// returning `(lag, correlation)`.
-///
-/// Seizure-propagation analysis uses lagged correlation to align signals
-/// recorded at different sites. Only the overlapping region is correlated;
-/// lags that leave fewer than 2 overlapping samples are skipped.
-///
-/// # Panics
-///
-/// Panics if either signal is empty.
-pub fn max_lagged_pearson(a: &[f64], b: &[f64], max_lag: usize) -> (isize, f64) {
-    assert!(
-        !a.is_empty() && !b.is_empty(),
-        "correlation of empty signals"
-    );
-    let mut best = (0isize, f64::NEG_INFINITY);
-    for lag in -(max_lag as isize)..=(max_lag as isize) {
-        let (xa, xb) = if lag >= 0 {
-            let l = lag as usize;
-            if l >= a.len() {
-                continue;
-            }
-            let n = (a.len() - l).min(b.len());
-            (&a[l..l + n], &b[..n])
-        } else {
-            let l = (-lag) as usize;
-            if l >= b.len() {
-                continue;
-            }
-            let n = (b.len() - l).min(a.len());
-            (&a[..n], &b[l..l + n])
-        };
-        if xa.len() < 2 {
-            continue;
-        }
-        let r = pearson(xa, xb);
-        if r > best.1 {
-            best = (lag, r);
-        }
-    }
-    best
-}
-
-/// Full normalised cross-correlation sequence for lags `0..=max_lag`
-/// (correlating `a[lag..]` with `b`), used as an XCOR feature vector.
-pub fn xcor_features(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(max_lag + 1);
-    xcor_features_into(a, b, max_lag, &mut out);
-    out
-}
-
-/// [`xcor_features`] written into a caller-provided vector (cleared first).
-/// Bit-identical to the allocating form; allocation-free once `out` has
-/// capacity for `max_lag + 1` lags.
-pub fn xcor_features_into(a: &[f64], b: &[f64], max_lag: usize, out: &mut Vec<f64>) {
-    out.clear();
-    out.extend((0..=max_lag).map(|lag| {
-        if lag >= a.len() {
-            return 0.0;
-        }
-        let n = (a.len() - lag).min(b.len());
-        if n < 2 {
-            return 0.0;
-        }
-        pearson(&a[lag..lag + n], &b[..n])
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,22 +50,6 @@ mod tests {
     #[test]
     fn constant_signal_yields_zero() {
         assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn lagged_correlation_finds_shift() {
-        let base: Vec<f64> = (0..200).map(|i| (i as f64 * 0.1).sin()).collect();
-        let shifted: Vec<f64> = (0..200).map(|i| ((i + 7) as f64 * 0.1).sin()).collect();
-        let (lag, r) = max_lagged_pearson(&shifted, &base, 15);
-        assert_eq!(lag, -7, "found lag {lag} with r={r}");
-        assert!(r > 0.999);
-    }
-
-    #[test]
-    fn xcor_features_length() {
-        let a = vec![0.0; 50];
-        let b = vec![0.0; 50];
-        assert_eq!(xcor_features(&a, &b, 10).len(), 11);
     }
 
     #[test]

@@ -116,7 +116,6 @@ use scalo_signal::fft::{band_power_features, band_power_features_into, FftScratc
 use scalo_signal::filter::ButterworthBandpass as Bandpass;
 use scalo_signal::spike::{neo_into, spike_threshold, spike_threshold_with};
 use scalo_signal::stats::{z_normalize, z_normalize_into};
-use scalo_signal::xcor::{xcor_features, xcor_features_into};
 use scalo_signal::WINDOW_SAMPLES;
 
 /// Junk a previous caller plausibly left in a reused output buffer.
@@ -187,14 +186,6 @@ proptest! {
             let got = spike_threshold_with(&mut scratch, &x, k);
             prop_assert_eq!(got.to_bits(), legacy.to_bits());
         }
-    }
-
-    #[test]
-    fn xcor_features_into_equals_legacy(a in sig(120), b in sig(120), max_lag in 0usize..8) {
-        let legacy = xcor_features(&a, &b, max_lag);
-        let mut out = dirty(2);
-        xcor_features_into(&a, &b, max_lag, &mut out);
-        prop_assert_eq!(out, legacy);
     }
 
     #[test]
