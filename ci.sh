@@ -119,6 +119,19 @@ test -n "$peak" && test "$peak" -le 512 \
   || { echo "resident set exceeded its 512-slot budget: ${peak:-?}" >&2; exit 1; }
 echo "swap smoke: $admitted admitted, resident peak $peak (budget 512)"
 
+echo "== swap smoke pin (fleet digest and swap traffic) =="
+# Every fault-in restores from its image: the image's detectors are
+# installed and the serving recording is re-executed to the cursor. The
+# run is a function of its seeds, so its fleet digest and its swap-in
+# and swap-out counts are fixed; a drift in any of them means the
+# restore path or the swap policy changed behaviour.
+swap_digest=$(sed -n 's/.*"swap":{.*"digest_fnv":"\([0-9a-f]*\)".*/\1/p' BENCH_fleet.json)
+swap_ins=$(sed -n 's/.*"swap":{.*"swap_ins":\([0-9]*\).*/\1/p' BENCH_fleet.json)
+swap_outs=$(sed -n 's/.*"swap":{.*"swap_outs":\([0-9]*\).*/\1/p' BENCH_fleet.json)
+test "$swap_digest" = "a2bb3c9a58bafdb3" && test "$swap_ins" = "267" && test "$swap_outs" = "9049" \
+  || { echo "swap smoke drifted: digest ${swap_digest:-?} (pinned a2bb3c9a58bafdb3), swap_ins ${swap_ins:-?} (267), swap_outs ${swap_outs:-?} (9049)" >&2; exit 1; }
+echo "swap smoke pinned: digest $swap_digest, $swap_ins swap-ins, $swap_outs swap-outs"
+
 echo "== swap-fault latency regression guard =="
 # Fault-in = modeled NVM read + SCSS decode + deterministic restore
 # replay; the current model books p99 well under 50 ms. Flag anything

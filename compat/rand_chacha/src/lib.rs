@@ -81,6 +81,18 @@ impl ChaCha8Rng {
         // index 16) has consumed nothing.
         (self.counter as u128) * 16 + self.index as u128 - 16
     }
+
+    /// Moves the stream to word `pos` (mirrors `rand_chacha`'s
+    /// `set_word_pos`): block `pos / 16`, word `pos % 16` within it. The
+    /// next draw is the one a generator that had consumed `pos` words
+    /// would make, so a reader can jump to any sample of a stream whose
+    /// draw layout it knows, forwards or backwards, without drawing the
+    /// words in between.
+    pub fn set_word_pos(&mut self, pos: u128) {
+        self.counter = (pos / 16) as u64;
+        self.refill();
+        self.index = (pos % 16) as usize;
+    }
 }
 
 impl RngCore for ChaCha8Rng {
@@ -158,6 +170,21 @@ mod tests {
         let n = 10_000;
         let mean: f64 = (0..n).map(|_| rng.gen::<f64>()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
+
+    #[test]
+    fn seeking_matches_drawing_through() {
+        let mut through = ChaCha8Rng::seed_from_u64(11);
+        let words: Vec<u32> = (0..96).map(|_| through.next_u32()).collect();
+        let mut seek = ChaCha8Rng::seed_from_u64(11);
+        // In-block, block edges, a multi-block jump, then backwards.
+        for pos in [0usize, 15, 16, 17, 70, 3, 48] {
+            seek.set_word_pos(pos as u128);
+            assert_eq!(seek.get_word_pos(), pos as u128);
+            let got: Vec<u32> = (0..20).map(|_| seek.next_u32()).collect();
+            assert_eq!(got, words[pos..pos + 20], "seek to word {pos}");
+            assert_eq!(seek.get_word_pos(), pos as u128 + 20);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! component models, not the authors' testbed).
 
 use crate::fmt::{f, header, table};
-use scalo_core::apps::seizure::SeizureApp;
+use scalo_core::apps::seizure::{training_windows, SeizureApp};
 use scalo_core::apps::spike_sort::{modeled_sort_rate_per_node, sort_dataset};
 use scalo_core::arch::{architecture_throughput, Architecture, Fig8Task};
 use scalo_core::catalog::{self, QueryCatalog};
@@ -505,7 +505,7 @@ fn run_propagation(seed: u64, hash_error_rate: f64, ber: f64) -> Option<f64> {
             .with_ber(ber)
             .with_seed(seed),
     );
-    app.train_detectors(&two_site_recording(seed ^ 1));
+    app.train_detectors(&training_windows(&two_site_config(seed ^ 1)));
     app.hash_error_rate = hash_error_rate;
     app.run(&rec).max_delay_ms()
 }
@@ -763,7 +763,7 @@ pub fn crash_trial(crashes: usize, seed: u64) -> CrashTrial {
             .with_electrodes(4)
             .with_seed(seed),
     );
-    app.train_detectors(&rec);
+    app.train_detectors(&training_windows(&rec.config));
     app.use_reliable_transport = true;
     let mut plan = FaultPlan::new();
     for i in 0..crashes {
@@ -2379,15 +2379,19 @@ pub fn kernels(reps: usize, channels: usize) {
 
 /// A small two-site recording with a simultaneous seizure, used by the
 /// Figure 15 experiments.
-fn two_site_recording(seed: u64) -> scalo_data::ieeg::MultiSiteRecording {
-    gen_ieeg(&IeegConfig {
+fn two_site_config(seed: u64) -> IeegConfig {
+    IeegConfig {
         nodes: 2,
         electrodes_per_node: 4,
         duration_s: 0.9,
         seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, 2, 0.0)],
         seed,
         ..Default::default()
-    })
+    }
+}
+
+fn two_site_recording(seed: u64) -> scalo_data::ieeg::MultiSiteRecording {
+    gen_ieeg(&two_site_config(seed))
 }
 
 #[cfg(test)]

@@ -24,12 +24,13 @@ use crate::system::{ArrivalWs, Scalo};
 use crate::workspace::Workspace;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use scalo_data::ieeg::MultiSiteRecording;
+use scalo_data::ieeg::{generate_range, num_samples, IeegConfig, MultiSiteRecording};
 use scalo_lsh::SignalHash;
 use scalo_ml::svm::LinearSvm;
 use scalo_net::compress::{dcomp_decompress_into, hcomp_compress_into};
 use scalo_net::packet::{Header, PayloadKind, BROADCAST};
 use scalo_signal::dtw::{dtw_distance_pruned, DtwParams};
+use scalo_signal::fft::FftScratch;
 use scalo_signal::stats::z_normalize_into;
 use scalo_trace::Stage;
 use std::time::Instant;
@@ -39,6 +40,23 @@ pub const WINDOW: usize = 120;
 
 /// Window cadence in µs (4 ms).
 pub const WINDOW_US: u64 = 4_000;
+
+/// Detector training reads every this-many-th window of its recording.
+pub const TRAIN_STRIDE: usize = 4;
+
+/// Synthesizes only the windows [`SeizureApp::train_detectors`] reads
+/// from the recording `config` describes: windows `0, TRAIN_STRIDE,
+/// 2·TRAIN_STRIDE, …` that fit whole, each bit-identical to that slice
+/// of [`generate`](scalo_data::ieeg::generate)'s recording. About a
+/// `TRAIN_STRIDE`-th of the cost of the whole recording.
+pub fn training_windows(config: &IeegConfig) -> Vec<MultiSiteRecording> {
+    let samples = num_samples(config);
+    (0..)
+        .map(|k| k * WINDOW * TRAIN_STRIDE)
+        .take_while(|t| t + WINDOW <= samples)
+        .map(|t| generate_range(config, t, t + WINDOW))
+        .collect()
+}
 
 /// One node's confirmation of seizure propagation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,25 +222,58 @@ impl SeizureApp {
         &mut self.system
     }
 
-    /// Trains per-node seizure detectors from a labelled recording and
-    /// installs them.
-    pub fn train_detectors(&mut self, recording: &MultiSiteRecording) {
-        for (node_id, rec) in recording.nodes.iter().enumerate() {
-            if node_id >= self.system.node_count() {
-                break;
-            }
+    /// Trains per-node seizure detectors and installs them. `windows`
+    /// are the recording's training windows ([`training_windows`]), each
+    /// `WINDOW` samples long and labelled by its mid-window mask sample.
+    /// Samples go to Pegasos node by node, then window by window, then
+    /// channel by channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is empty or a window is not `WINDOW` samples.
+    pub fn train_detectors(&mut self, windows: &[MultiSiteRecording]) {
+        assert!(!windows.is_empty(), "no training windows");
+        let nodes = windows[0].nodes.len().min(self.system.node_count());
+        let mut fft = FftScratch::new();
+        let mut features = Vec::new();
+        for node_id in 0..nodes {
             let mut samples = Vec::new();
-            let n = rec.num_samples();
-            let mut t = 0;
-            while t + WINDOW <= n {
+            for w in windows {
+                let rec = &w.nodes[node_id];
+                assert_eq!(rec.num_samples(), WINDOW, "training window length");
+                let label = rec.seizure[WINDOW / 2];
                 for ch in &rec.channels {
-                    let w = &ch[t..t + WINDOW];
-                    let label = rec.seizure[t + WINDOW / 2];
-                    samples.push((Node::detection_features(w), label));
+                    Node::detection_features_into(ch, &mut fft, &mut features);
+                    samples.push((features.clone(), label));
                 }
-                t += WINDOW * 4; // subsample training windows
             }
             let svm = LinearSvm::train_pegasos(&samples, 0.01, 12, 17 + node_id as u64);
+            self.system.node_mut(node_id).install_detector(svm);
+        }
+    }
+
+    /// Every node's installed detector, in node order — what a session
+    /// image carries so a restore installs rather than retrains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node has no detector installed.
+    pub fn detectors(&self) -> Vec<LinearSvm> {
+        (0..self.system.node_count())
+            .map(|n| {
+                self.system
+                    .node(n)
+                    .detector()
+                    .cloned()
+                    .expect("every node has a detector installed")
+            })
+            .collect()
+    }
+
+    /// Installs `detectors[n]` on node `n`, as [`Self::train_detectors`]
+    /// would have.
+    pub fn install_detectors(&mut self, detectors: Vec<LinearSvm>) {
+        for (node_id, svm) in detectors.into_iter().enumerate() {
             self.system.node_mut(node_id).install_detector(svm);
         }
     }
@@ -607,15 +658,19 @@ mod tests {
     use super::*;
     use scalo_data::ieeg::{generate, IeegConfig, SeizureEvent};
 
-    fn two_node_recording(seed: u64) -> MultiSiteRecording {
-        generate(&IeegConfig {
+    fn two_node_config(seed: u64) -> IeegConfig {
+        IeegConfig {
             nodes: 2,
             electrodes_per_node: 4,
             duration_s: 0.9,
             seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, 2, 0.0)],
             seed,
             ..Default::default()
-        })
+        }
+    }
+
+    fn two_node_recording(seed: u64) -> MultiSiteRecording {
+        generate(&two_node_config(seed))
     }
 
     fn app(ber: f64, seed: u64) -> SeizureApp {
@@ -625,7 +680,7 @@ mod tests {
             .with_ber(ber)
             .with_seed(seed);
         let mut app = SeizureApp::new(cfg);
-        app.train_detectors(&two_node_recording(seed ^ 1));
+        app.train_detectors(&training_windows(&two_node_config(seed ^ 1)));
         app
     }
 
@@ -716,7 +771,7 @@ mod tests {
             .with_ber(0.0)
             .with_seed(31);
         let mut a = SeizureApp::new(cfg);
-        a.train_detectors(&recording);
+        a.train_detectors(&training_windows(&recording.config));
         // Node 3 dies before the seizure starts.
         let mut plan = FaultPlan::new();
         plan.schedule(100_000, Fault::Crash { node: 3 });

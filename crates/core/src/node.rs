@@ -6,7 +6,7 @@ use scalo_lsh::ccheck::{CollisionChecker, HashMatch};
 use scalo_lsh::eval::MeasureHasher;
 use scalo_lsh::SignalHash;
 use scalo_ml::svm::LinearSvm;
-use scalo_signal::fft::{band_power_features_into, FftScratch};
+use scalo_signal::fft::{band_power_features_into, FftScratch, FEATURE_BANDS};
 use scalo_signal::stats::rms;
 use scalo_storage::partition::{FailoverReport, PartitionKind, PartitionSet};
 use scalo_trace::Stage;
@@ -124,6 +124,15 @@ impl Node {
     pub fn install_detector(&mut self, svm: LinearSvm) {
         self.detector = Some(svm);
     }
+
+    /// The installed seizure detector, if any.
+    pub fn detector(&self) -> Option<&LinearSvm> {
+        self.detector.as_ref()
+    }
+
+    /// Length of [`Node::detection_features`]: one power per feature
+    /// band plus the RMS amplitude.
+    pub const DETECTION_FEATURES: usize = FEATURE_BANDS.len() + 1;
 
     /// Extracts the seizure-detection feature vector of a window (the
     /// BBF/FFT feature path of Figure 5: band powers + an amplitude
@@ -413,6 +422,7 @@ mod tests {
         let mut node = Node::new(0, &cfg);
         // A detector that fires on high RMS (last feature).
         let n_features = Node::detection_features(&test_window(0.0)).len();
+        assert_eq!(n_features, Node::DETECTION_FEATURES);
         let mut w = vec![0.0; n_features];
         w[n_features - 1] = 1.0;
         node.install_detector(LinearSvm::new(w, -0.5));

@@ -13,7 +13,7 @@
 //! makes fleet execution reproducible on any worker count.
 
 use crate::apps::movement;
-use crate::apps::seizure::{PropagationRun, RunState, SeizureApp, WINDOW_US};
+use crate::apps::seizure::{training_windows, PropagationRun, RunState, SeizureApp, WINDOW_US};
 use crate::cohort::{Charge, MemberLanes};
 use crate::config::ScaloConfig;
 use crate::plan::{PlanError, ProgramPlan};
@@ -321,18 +321,21 @@ pub struct Session {
 
 impl Session {
     /// Builds the session: generates the recording, trains per-node
-    /// detectors, and prepares the resumable run. This is the expensive
-    /// part; admission control runs *before* it.
+    /// detectors on the training windows of the `seed ^ 1` recording
+    /// (synthesized alone, [`training_windows`]), and prepares the
+    /// resumable run. This is the expensive part; admission control runs
+    /// *before* it. The only place a session's detectors are trained.
     pub fn new(spec: SessionSpec) -> Self {
-        let recording = patient_recording(&spec, spec.seed);
-        let mut app = SeizureApp::new(
-            ScaloConfig::default()
-                .with_nodes(spec.nodes)
-                .with_electrodes(spec.electrodes)
-                .with_ber(spec.ber)
-                .with_seed(spec.seed),
-        );
-        app.train_detectors(&patient_recording(&spec, spec.seed ^ 1));
+        let mut app = patient_app(&spec);
+        app.train_detectors(&training_windows(&patient_config(&spec, spec.seed ^ 1)));
+        Self::assemble(spec, app)
+    }
+
+    /// The session around `app`, whose detectors are installed: the
+    /// serving recording, the run state at window 0, movement engine,
+    /// and workspace.
+    fn assemble(spec: SessionSpec, mut app: SeizureApp) -> Self {
+        let recording = generate(&patient_config(&spec, spec.seed));
         app.use_reliable_transport = spec.use_reliable_transport;
         let state = app.begin(&recording);
         let movement =
@@ -431,11 +434,13 @@ impl Session {
     ///
     /// Cutover builds the reconfigured session as a *twin*: snapshot
     /// the live session, restore the twin through the full binding
-    /// timeline (which digest-verifies the replay), apply the new
+    /// timeline (which installs the live detectors, re-executes the
+    /// serving recording and digest-verifies the replay), apply the new
     /// binding, and only then swap it in. The live session is untouched
-    /// on any error — a failed cutover *is* the rollback. The replay
-    /// makes cutover cost proportional to the session's age; the fleet
-    /// reports that latency per reconfiguration.
+    /// on any error — a failed cutover *is* the rollback. The twin never
+    /// retrains; the replay makes cutover cost proportional to the
+    /// session's age, and the fleet reports that latency per
+    /// reconfiguration.
     ///
     /// `expected_step_digest` optionally pins the live session's
     /// [`Self::step_digest`] at the boundary; a mismatch aborts before
@@ -707,7 +712,8 @@ impl Session {
 
     /// Captures a serializable image of the session at the current
     /// window boundary: spec, cursors, RNG position, movement results,
-    /// and the digest cursor. Pair with [`Self::restore`].
+    /// the trained detectors, and the digest cursor. Pair with
+    /// [`Self::restore`].
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             spec: self.spec.clone(),
@@ -725,34 +731,46 @@ impl Session {
             decisions_fnv: fnv1a(self.decision_digest().as_bytes()),
             initial_binding: self.initial_binding.clone(),
             reconfigures: self.reconfigures.clone(),
+            detectors: self.app.detectors(),
         }
     }
 
     /// Reconstructs a session at `snap`'s window cursor.
     ///
-    /// Sessions are pure functions of their seed, so restoration is
-    /// deterministic re-execution: rebuild from the spec (recording
-    /// regenerated, detectors retrained) and fast-forward window by
-    /// window to the cursor — with the modeled radio stall suppressed,
-    /// so recovery runs at compute speed rather than simulated-radio
-    /// speed. The snapshot's digest cursor and RNG position are then
-    /// verified byte-for-byte; any divergence (a corrupted image that
-    /// beat the checksum, or code whose decisions drifted from the
-    /// logged run) is an error, never a silently different session.
-    /// Wall-clock accounting (steps, misses, stepping time) is carried
-    /// over from the snapshot, not from the fast-forward.
+    /// The image's trained detectors are installed as they are: restore
+    /// never synthesizes the training recording and never trains. The
+    /// rest is deterministic re-execution, since sessions are pure
+    /// functions of their seed: regenerate the serving recording and
+    /// fast-forward window by window to the cursor — with the modeled
+    /// radio stall suppressed, so recovery runs at compute speed rather
+    /// than simulated-radio speed. The snapshot's digest cursor and RNG
+    /// position are then verified byte-for-byte; any divergence (a
+    /// corrupted image that beat the checksum, detectors that are not
+    /// the ones the logged run used, or code whose decisions drifted
+    /// from the logged run) is an error, never a silently different
+    /// session. Wall-clock accounting (steps, misses, stepping time) is
+    /// carried over from the snapshot, not from the fast-forward.
     ///
     /// Sessions that were hot-reconfigured replay their whole binding
     /// timeline: the rebuild starts from the *initial* binding, each
     /// recorded reconfiguration is re-applied at its window, and only
     /// then does the fast-forward reach the cursor — so a snapshot
     /// taken after any number of reconfigurations still verifies.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Invalid`] for an image that fails
+    /// [`SessionSnapshot::validate`]; [`SnapshotError::DigestMismatch`]
+    /// when the replay does not reproduce the image's cursor.
     pub fn restore(snap: &SessionSnapshot) -> Result<Self, SnapshotError> {
+        snap.validate()?;
         let mut base = snap.spec.clone();
         base.movement_every = snap.initial_binding.movement_every;
         base.use_reliable_transport = snap.initial_binding.use_reliable_transport;
         base.query = snap.initial_binding.query.clone();
-        let mut session = Self::new(base);
+        let mut app = patient_app(&base);
+        app.install_detectors(snap.detectors.clone());
+        let mut session = Self::assemble(base, app);
         session.spec.io_stall_us = 0;
         for (window, binding) in &snap.reconfigures {
             while (session.state.window() as u64) < *window && !session.state.is_done() {
@@ -840,15 +858,26 @@ impl Session {
 
 /// The session's synthetic recording: one seizure propagating across
 /// every implant, seeded per patient.
-fn patient_recording(spec: &SessionSpec, seed: u64) -> MultiSiteRecording {
-    generate(&IeegConfig {
+fn patient_config(spec: &SessionSpec, seed: u64) -> IeegConfig {
+    IeegConfig {
         nodes: spec.nodes,
         electrodes_per_node: spec.electrodes,
         duration_s: spec.duration_s,
         seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, spec.nodes, 0.0)],
         seed,
         ..Default::default()
-    })
+    }
+}
+
+/// The session's application harness, detectors not yet installed.
+fn patient_app(spec: &SessionSpec) -> SeizureApp {
+    SeizureApp::new(
+        ScaloConfig::default()
+            .with_nodes(spec.nodes)
+            .with_electrodes(spec.electrodes)
+            .with_ber(spec.ber)
+            .with_seed(spec.seed),
+    )
 }
 
 #[cfg(test)]
@@ -872,15 +901,9 @@ mod tests {
         while !session.step().done {}
         let stepped = session.report().run;
 
-        let recording = patient_recording(&spec, spec.seed);
-        let mut app = SeizureApp::new(
-            ScaloConfig::default()
-                .with_nodes(spec.nodes)
-                .with_electrodes(spec.electrodes)
-                .with_ber(spec.ber)
-                .with_seed(spec.seed),
-        );
-        app.train_detectors(&patient_recording(&spec, spec.seed ^ 1));
+        let recording = generate(&patient_config(&spec, spec.seed));
+        let mut app = patient_app(&spec);
+        app.train_detectors(&training_windows(&patient_config(&spec, spec.seed ^ 1)));
         let monolithic = app.run(&recording);
         assert_eq!(stepped, monolithic);
         assert!(stepped.origin_detect_window.is_some(), "{stepped:?}");

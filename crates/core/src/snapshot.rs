@@ -3,24 +3,32 @@
 //! A [`SessionSnapshot`] captures everything the durability layer needs
 //! to reconstruct a [`crate::session::Session`] after a process death:
 //! the full [`SessionSpec`], the window cursor and step accounting, the
-//! application RNG's stream position, the movement decode results, and
-//! a two-part digest cursor (the cheap per-window step digest plus the
-//! FNV fingerprint of the full decision digest). The codec is a
+//! application RNG's stream position, the movement decode results, each
+//! node's trained seizure detector (weights and bias, 72 B per node),
+//! and a two-part digest cursor (the cheap per-window step digest plus
+//! the FNV fingerprint of the full decision digest). The codec is a
 //! hand-rolled little-endian byte format — fixed-width integers, IEEE
 //! bit-patterns for floats, length-prefixed sequences — with a
 //! versioned header and a trailing FNV-1a checksum, so a stale or
 //! corrupted image is rejected cleanly instead of deserialising into
-//! garbage.
+//! garbage, and a field a restore could not serve (a node count past
+//! the lag table, a detector of the wrong length or with a non-finite
+//! weight) is rejected as [`SnapshotError::Invalid`].
 //!
-//! Restoration is *deterministic re-execution*: SCALO sessions are pure
-//! functions of their seed, so the snapshot does not serialise the
-//! multi-megabyte system image (NVM rings, CCHECK SRAM, detector
-//! weights). Instead [`crate::session::Session::restore`] rebuilds the
-//! session from the spec and fast-forwards to the snapshot's window
-//! cursor, then *verifies* the checkpointed digest cursor and RNG
-//! position byte-for-byte — divergence is an error, never silent.
+//! Restoration installs the image's detectors, so it never synthesizes
+//! the training recording or trains. The rest is *deterministic
+//! re-execution*: SCALO sessions are pure functions of their seed, so
+//! the snapshot does not serialise the multi-megabyte system image (NVM
+//! rings, CCHECK SRAM). Instead [`crate::session::Session::restore`]
+//! regenerates the serving recording and fast-forwards to the
+//! snapshot's window cursor, then *verifies* the checkpointed digest
+//! cursor and RNG position byte-for-byte — divergence is an error,
+//! never silent.
 
+use crate::node::Node;
 use crate::session::{QueryBinding, SessionSpec};
+use scalo_data::ieeg::MAX_NODES;
+use scalo_ml::svm::LinearSvm;
 use std::fmt;
 
 /// Magic bytes opening every encoded snapshot.
@@ -29,8 +37,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SCSS";
 /// Current snapshot format version. Version 2 added the session's
 /// query source and binding timeline (initial binding plus every hot
 /// reconfiguration), so recovery replays reconfigured sessions epoch
-/// by epoch.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// by epoch. Version 3 added each node's trained detector, so restore
+/// installs the detectors instead of retraining them; older images are
+/// rejected with [`SnapshotError::BadVersion`].
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Incremental 64-bit FNV-1a hasher, allocation-free. Used for the
 /// per-window step digests, the snapshot checksum, and the WAL record
@@ -141,13 +151,21 @@ pub struct SessionSnapshot {
     /// binding)` in application order, windows non-decreasing and at
     /// most the cursor.
     pub reconfigures: Vec<(u64, QueryBinding)>,
+    /// Each node's trained seizure detector, in node order — restore
+    /// installs these rather than retraining.
+    pub detectors: Vec<LinearSvm>,
 }
+
+/// Encoded bytes of one detector: weight count, weights, bias.
+const DETECTOR_BYTES: usize = 8 * (Node::DETECTION_FEATURES + 2);
 
 impl SessionSnapshot {
     /// Encodes the snapshot: versioned header, body, trailing FNV-1a
     /// checksum over header + body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + 12 * self.movement_results.len());
+        let mut out = Vec::with_capacity(
+            128 + 16 * self.movement_results.len() + DETECTOR_BYTES * self.detectors.len(),
+        );
         self.encode_into(&mut out);
         out
     }
@@ -188,13 +206,47 @@ impl SessionSnapshot {
             put_u64(out, round);
             put_f64(out, value);
         }
+        put_u64(out, self.detectors.len() as u64);
+        for svm in &self.detectors {
+            put_u64(out, svm.num_features() as u64);
+            for &w in svm.weights() {
+                put_f64(out, w);
+            }
+            put_f64(out, svm.bias());
+        }
         put_u64(out, self.step_digest);
         put_u64(out, self.decisions_fnv);
         let checksum = fnv1a(out);
         put_u64(out, checksum);
     }
 
-    /// Decodes and validates an encoded snapshot.
+    /// Checks the fields a restore would otherwise panic on or could not
+    /// serve: a deployment of `1..=MAX_NODES` implants with electrodes,
+    /// a positive finite duration, a bit-error ratio in `[0, 1)`, and one
+    /// detector per node, each [`Node::DETECTION_FEATURES`] weights long
+    /// with every weight and the bias finite. [`Self::decode`] and
+    /// [`crate::session::Session::restore`] both run it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Invalid`] naming the first field that fails.
+    pub fn validate(&self) -> Result<(), SnapshotError> {
+        validate_spec(&self.spec)?;
+        if self.detectors.len() != self.spec.nodes {
+            return Err(SnapshotError::Invalid("detector count"));
+        }
+        for svm in &self.detectors {
+            if svm.num_features() != Node::DETECTION_FEATURES {
+                return Err(SnapshotError::Invalid("detector length"));
+            }
+            if !svm.weights().iter().all(|w| w.is_finite()) || !svm.bias().is_finite() {
+                return Err(SnapshotError::Invalid("non-finite detector"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes and validates an encoded snapshot ([`Self::validate`]).
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
         // Header first, checksum second: a stale version must be
         // reported as such even if the trailer happens to validate.
@@ -255,12 +307,6 @@ impl SessionSnapshot {
             last_window = at;
             reconfigures.push((at, r.binding()?));
         }
-        if nodes == 0 || electrodes == 0 {
-            return Err(SnapshotError::Invalid("degenerate deployment"));
-        }
-        if !duration_s.is_finite() || duration_s <= 0.0 {
-            return Err(SnapshotError::Invalid("non-positive duration"));
-        }
         let spec = SessionSpec {
             id,
             seed,
@@ -276,6 +322,7 @@ impl SessionSnapshot {
             trace_capacity,
             query,
         };
+        validate_spec(&spec)?;
         let window = r.u64()?;
         if reconfigures.last().is_some_and(|&(at, _)| at > window) {
             return Err(SnapshotError::Invalid("reconfigure beyond the cursor"));
@@ -296,12 +343,28 @@ impl SessionSnapshot {
             let value = r.f64()?;
             movement_results.push((round, value));
         }
+        // One detector per node (at most MAX_NODES, checked above):
+        // check the count and every length before allocating, so a
+        // forged field allocates nothing large.
+        if r.u64()? != nodes as u64 {
+            return Err(SnapshotError::Invalid("detector count"));
+        }
+        let mut detectors = Vec::with_capacity(nodes);
+        for _ in 0..nodes {
+            if r.u64()? != Node::DETECTION_FEATURES as u64 {
+                return Err(SnapshotError::Invalid("detector length"));
+            }
+            let weights = (0..Node::DETECTION_FEATURES)
+                .map(|_| r.f64())
+                .collect::<Result<Vec<_>, _>>()?;
+            detectors.push(LinearSvm::new(weights, r.f64()?));
+        }
         let step_digest = r.u64()?;
         let decisions_fnv = r.u64()?;
         if r.pos != body.len() {
             return Err(SnapshotError::Invalid("trailing bytes after snapshot body"));
         }
-        Ok(Self {
+        let snap = Self {
             spec,
             window,
             steps,
@@ -313,8 +376,28 @@ impl SessionSnapshot {
             decisions_fnv,
             initial_binding,
             reconfigures,
-        })
+            detectors,
+        };
+        snap.validate()?;
+        Ok(snap)
     }
+}
+
+/// The spec half of [`SessionSnapshot::validate`].
+fn validate_spec(s: &SessionSpec) -> Result<(), SnapshotError> {
+    if s.nodes == 0 || s.electrodes == 0 {
+        return Err(SnapshotError::Invalid("degenerate deployment"));
+    }
+    if s.nodes > MAX_NODES {
+        return Err(SnapshotError::Invalid("node count"));
+    }
+    if !s.duration_s.is_finite() || s.duration_s <= 0.0 {
+        return Err(SnapshotError::Invalid("non-positive duration"));
+    }
+    if !(0.0..1.0).contains(&s.ber) {
+        return Err(SnapshotError::Invalid("bit-error ratio"));
+    }
+    Ok(())
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -409,6 +492,9 @@ mod tests {
             .with_io_stall_us(400)
             .with_trace_capacity(1024);
         let initial_binding = QueryBinding::of(&spec);
+        let detectors = (0..spec.nodes)
+            .map(|n| LinearSvm::new(vec![0.25 * n as f64 - 1.0; Node::DETECTION_FEATURES], 0.5))
+            .collect();
         SessionSnapshot {
             spec,
             window: 42,
@@ -421,7 +507,112 @@ mod tests {
             decisions_fnv: 0x0123_4567_89ab_cdef,
             initial_binding,
             reconfigures: Vec::new(),
+            detectors,
         }
+    }
+
+    /// Recomputes the trailing checksum after an edit, as a forger
+    /// would: the image then reaches field validation.
+    fn reseal(bytes: &mut Vec<u8>) {
+        bytes.truncate(bytes.len() - 8);
+        let checksum = fnv1a(bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// Overwrites the `u64` at `at` and reseals.
+    fn forge_u64(bytes: &mut Vec<u8>, at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        reseal(bytes);
+    }
+
+    /// Byte offset of the detector count: it precedes the detectors and
+    /// the two trailing digests.
+    fn detector_count_at(snap: &SessionSnapshot, bytes: &[u8]) -> usize {
+        bytes.len() - 8 - 16 - DETECTOR_BYTES * snap.detectors.len() - 8
+    }
+
+    #[test]
+    fn image_carries_every_detector_bit_for_bit() {
+        let snap = sample();
+        let bytes = snap.encode();
+        let at = detector_count_at(&snap, &bytes);
+        assert_eq!(bytes[at..at + 8], 3u64.to_le_bytes());
+        let back = SessionSnapshot::decode(&bytes).unwrap();
+        assert_eq!(back.detectors, snap.detectors);
+    }
+
+    #[test]
+    fn resealed_node_count_past_the_lag_table_is_invalid() {
+        // Node count sits after magic, version, id, seed and priority.
+        let mut bytes = sample().encode();
+        forge_u64(&mut bytes, 6 + 8 + 8 + 1, (MAX_NODES + 1) as u64);
+        assert_eq!(
+            SessionSnapshot::decode(&bytes),
+            Err(SnapshotError::Invalid("node count"))
+        );
+    }
+
+    #[test]
+    fn resealed_bit_error_ratio_out_of_range_is_invalid() {
+        let mut snap = sample();
+        snap.spec.ber = 1.5;
+        assert_eq!(
+            SessionSnapshot::decode(&snap.encode()),
+            Err(SnapshotError::Invalid("bit-error ratio"))
+        );
+    }
+
+    #[test]
+    fn forged_detector_count_or_length_is_invalid() {
+        let snap = sample();
+        let clean = snap.encode();
+        let at = detector_count_at(&snap, &clean);
+        for (offset, value, what) in [
+            (at, u64::MAX, "detector count"),
+            (at, 2, "detector count"),
+            (at + 8, u64::MAX, "detector length"),
+            (
+                at + 8,
+                Node::DETECTION_FEATURES as u64 + 1,
+                "detector length",
+            ),
+        ] {
+            let mut bytes = clean.clone();
+            forge_u64(&mut bytes, offset, value);
+            assert_eq!(
+                SessionSnapshot::decode(&bytes),
+                Err(SnapshotError::Invalid(what)),
+                "{value} at byte {offset}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_detector_is_invalid() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut snap = sample();
+            let n = Node::DETECTION_FEATURES;
+            snap.detectors[1] = LinearSvm::new(vec![bad; n], 0.0);
+            assert_eq!(
+                SessionSnapshot::decode(&snap.encode()),
+                Err(SnapshotError::Invalid("non-finite detector"))
+            );
+            snap.detectors[1] = LinearSvm::new(vec![0.0; n], bad);
+            assert_eq!(
+                snap.validate(),
+                Err(SnapshotError::Invalid("non-finite detector"))
+            );
+        }
+    }
+
+    #[test]
+    fn missing_detectors_are_invalid() {
+        let mut snap = sample();
+        snap.detectors.pop();
+        assert_eq!(
+            SessionSnapshot::decode(&snap.encode()),
+            Err(SnapshotError::Invalid("detector count"))
+        );
     }
 
     #[test]
@@ -505,6 +696,19 @@ mod tests {
         assert_eq!(
             SessionSnapshot::decode(&bytes),
             Err(SnapshotError::BadVersion { found: 99 })
+        );
+    }
+
+    #[test]
+    fn version_2_images_are_rejected() {
+        // A v2 image has no detectors, so a restore from it would have
+        // to retrain; it is refused before anything else is read.
+        let mut bytes = sample().encode();
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        reseal(&mut bytes);
+        assert_eq!(
+            SessionSnapshot::decode(&bytes),
+            Err(SnapshotError::BadVersion { found: 2 })
         );
     }
 

@@ -9,7 +9,7 @@
 //! A deliberate change of the decision semantics updates them, and says
 //! so.
 
-use scalo_core::apps::seizure::SeizureApp;
+use scalo_core::apps::seizure::{training_windows, SeizureApp};
 use scalo_core::session::{Session, SessionSpec};
 use scalo_core::snapshot::fnv1a;
 use scalo_core::{PlanConfig, QueryCatalog, ScaloConfig};
@@ -51,15 +51,13 @@ fn catalog_sessions_keep_their_decision_fingerprints() {
 /// electrode hash; the exchange must consume exactly the same draws.
 #[test]
 fn encoding_error_run_keeps_its_fingerprint() {
-    let recording = |seed| {
-        generate(&IeegConfig {
-            nodes: 2,
-            electrodes_per_node: 4,
-            duration_s: 0.9,
-            seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, 2, 0.0)],
-            seed,
-            ..Default::default()
-        })
+    let recording = |seed| IeegConfig {
+        nodes: 2,
+        electrodes_per_node: 4,
+        duration_s: 0.9,
+        seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, 2, 0.0)],
+        seed,
+        ..Default::default()
     };
     let mut app = SeizureApp::new(
         ScaloConfig::default()
@@ -67,9 +65,9 @@ fn encoding_error_run_keeps_its_fingerprint() {
             .with_electrodes(4)
             .with_seed(11),
     );
-    app.train_detectors(&recording(11 ^ 1));
+    app.train_detectors(&training_windows(&recording(11 ^ 1)));
     app.hash_error_rate = 0.5;
-    let run = app.run(&recording(11));
+    let run = app.run(&generate(&recording(11)));
     let fnv = fnv1a(format!("{run:?} rng={}", app.rng_word_pos()).as_bytes());
     assert_eq!(fnv, 0xaa10_75ea_1758_240a);
 }

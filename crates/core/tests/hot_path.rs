@@ -11,22 +11,26 @@
 //! allocate — and every later window performs **zero** heap
 //! allocations, mirroring the fixed SRAM budget of the SCALO ASIC.
 
-use scalo_core::apps::seizure::{SeizureApp, WINDOW};
+use scalo_core::apps::seizure::{training_windows, SeizureApp, WINDOW};
 use scalo_core::{ScaloConfig, Workspace};
 use scalo_data::ieeg::{generate, IeegConfig, MultiSiteRecording, SeizureEvent};
 
 #[global_allocator]
 static ALLOC: scalo_alloc::CountingAllocator = scalo_alloc::CountingAllocator;
 
-fn recording(seed: u64, duration_s: f64, seizures: Vec<SeizureEvent>) -> MultiSiteRecording {
-    generate(&IeegConfig {
+fn config(seed: u64, duration_s: f64, seizures: Vec<SeizureEvent>) -> IeegConfig {
+    IeegConfig {
         nodes: 2,
         electrodes_per_node: 4,
         duration_s,
         seizures,
         seed,
         ..Default::default()
-    })
+    }
+}
+
+fn recording(seed: u64, duration_s: f64, seizures: Vec<SeizureEvent>) -> MultiSiteRecording {
+    generate(&config(seed, duration_s, seizures))
 }
 
 fn trained_app(seed: u64) -> SeizureApp {
@@ -37,11 +41,11 @@ fn trained_app(seed: u64) -> SeizureApp {
     let mut app = SeizureApp::new(cfg);
     // Train on a recording that does contain a seizure so the detector
     // is meaningful (mirrors the unit tests in `apps::seizure`).
-    app.train_detectors(&recording(
+    app.train_detectors(&training_windows(&config(
         seed ^ 1,
         0.9,
         vec![SeizureEvent::uniform(0.25, 0.6, 0, 2, 0.0)],
-    ));
+    )));
     app
 }
 

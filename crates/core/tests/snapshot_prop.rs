@@ -1,10 +1,18 @@
 //! Property-based coverage for the snapshot codec, plus the
 //! snapshot → restore → resume equivalence the durability layer rests
 //! on.
+//!
+//! The binary counts heap traffic ([`scalo_alloc::CountingAllocator`])
+//! so a forged length can be shown to allocate nothing large.
 
 use proptest::prelude::*;
+use scalo_core::node::Node;
 use scalo_core::session::{QueryBinding, Session, SessionSpec};
-use scalo_core::snapshot::{SessionSnapshot, SnapshotError};
+use scalo_core::snapshot::{fnv1a, SessionSnapshot, SnapshotError};
+use scalo_ml::svm::LinearSvm;
+
+#[global_allocator]
+static ALLOC: scalo_alloc::CountingAllocator = scalo_alloc::CountingAllocator;
 
 fn arb_opt_query() -> impl Strategy<Value = Option<String>> {
     prop_oneof![Just(None), "[a-z0-9(). =]{0,32}".prop_map(Some),]
@@ -70,6 +78,19 @@ fn arb_binding() -> impl Strategy<Value = QueryBinding> {
     )
 }
 
+/// One detector per possible node (`arb_spec` draws 1..=4 nodes); the
+/// snapshot keeps the first `nodes`.
+fn arb_detectors() -> impl Strategy<Value = Vec<LinearSvm>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(-1e6f64..1e6, Node::DETECTION_FEATURES),
+            -1e6f64..1e6,
+        )
+            .prop_map(|(weights, bias)| LinearSvm::new(weights, bias)),
+        4,
+    )
+}
+
 fn arb_snapshot() -> impl Strategy<Value = SessionSnapshot> {
     (
         arb_spec(),
@@ -83,6 +104,7 @@ fn arb_snapshot() -> impl Strategy<Value = SessionSnapshot> {
         (
             arb_binding(),
             proptest::collection::vec((any::<u64>(), arb_binding()), 0..4),
+            arb_detectors(),
         ),
     )
         .prop_map(
@@ -90,8 +112,9 @@ fn arb_snapshot() -> impl Strategy<Value = SessionSnapshot> {
                 spec,
                 (window, steps, deadline_misses, wall_us),
                 (rng_word_pos, movement_results, step_digest, decisions_fnv),
-                (initial_binding, raw_reconfigures),
+                (initial_binding, raw_reconfigures, mut detectors),
             )| {
+                detectors.truncate(spec.nodes);
                 // The codec requires transition windows non-decreasing
                 // and at most the cursor; fold raw draws into that shape.
                 let mut at: Vec<u64> = raw_reconfigures
@@ -115,6 +138,7 @@ fn arb_snapshot() -> impl Strategy<Value = SessionSnapshot> {
                     decisions_fnv,
                     initial_binding,
                     reconfigures,
+                    detectors,
                 }
             },
         )
@@ -188,4 +212,67 @@ fn restore_rejects_forged_digest_cursor() {
         Session::restore(&snap),
         Err(SnapshotError::DigestMismatch { session: 6, .. })
     ));
+}
+
+/// Restore installs the image's detectors rather than retraining: a
+/// snapshot past seizure onset whose origin detector is negated (and the
+/// image re-sealed) replays to a different digest. A restore that
+/// retrained would reproduce the logged run and accept the image.
+#[test]
+fn restore_installs_the_detectors_the_image_carries() {
+    let mut session = Session::new(SessionSpec::new(8, 0xd37).with_duration_s(0.4));
+    for _ in 0..90 {
+        session.step();
+    }
+    assert!(
+        session
+            .decision_digest()
+            .contains("origin_detect_window: Some("),
+        "the snapshot must follow a detection: {}",
+        session.decision_digest()
+    );
+    let mut snap = session.snapshot();
+    let origin = &snap.detectors[0];
+    let negated: Vec<f64> = origin.weights().iter().map(|w| -w).collect();
+    snap.detectors[0] = LinearSvm::new(negated, -origin.bias());
+    // Encoding the edited snapshot re-seals the checksum.
+    let forged = SessionSnapshot::decode(&snap.encode()).expect("a re-sealed image decodes");
+    assert!(
+        matches!(
+            Session::restore(&forged),
+            Err(SnapshotError::DigestMismatch { session: 8, .. })
+        ),
+        "a restore that ignores the image's detectors accepted a forged one"
+    );
+    // The untouched image restores.
+    assert!(Session::restore(&session.snapshot()).is_ok());
+}
+
+/// Forged detector counts and lengths are refused before anything is
+/// allocated for them.
+#[test]
+fn forged_detector_fields_allocate_nothing_large() {
+    let mut session = Session::new(SessionSpec::new(9, 0xa110c).with_duration_s(0.2));
+    for _ in 0..5 {
+        session.step();
+    }
+    let snap = session.snapshot();
+    let clean = snap.encode();
+    // The detector count precedes the detectors (8 + 8 per weight + 8
+    // bias bytes each), the two digests and the checksum.
+    let per_detector = 8 * (Node::DETECTION_FEATURES + 2);
+    let count_at = clean.len() - 8 - 16 - per_detector * snap.detectors.len() - 8;
+    for (at, value, what) in [
+        (count_at, 1u64 << 40, "detector count"),
+        (count_at + 8, 1u64 << 40, "detector length"),
+    ] {
+        let mut bytes = clean.clone();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let body = bytes.len() - 8;
+        let checksum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        let (decoded, heap) = scalo_alloc::measure(|| SessionSnapshot::decode(&bytes));
+        assert_eq!(decoded, Err(SnapshotError::Invalid(what)));
+        assert!(heap.bytes < 4096, "{what} forged to {value}: {heap:?}");
+    }
 }

@@ -146,37 +146,88 @@ fn spike_wave(phase: f64) -> f64 {
     }
 }
 
-/// Generates a multi-site recording.
+/// `f64` draws each electrode makes before its first sample: 7
+/// oscillator phases, the seizure phase jitter and the electrode
+/// amplitude.
+const PREAMBLE_DRAWS: usize = 9;
+
+/// ChaCha words per `f64` draw.
+const WORDS_PER_DRAW: u128 = 2;
+
+/// Samples per channel in the full recording `config` describes.
+pub fn num_samples(config: &IeegConfig) -> usize {
+    (config.duration_s * SAMPLE_RATE_HZ) as usize
+}
+
+/// Generates a multi-site recording: [`generate_range`] over every
+/// sample.
 ///
 /// # Panics
 ///
 /// Panics on degenerate configs (no nodes/electrodes, non-positive
 /// duration, too many nodes for a seizure lag table).
 pub fn generate(config: &IeegConfig) -> MultiSiteRecording {
+    generate_range(config, 0, num_samples(config))
+}
+
+/// Generates samples `from..to` of the recording `config` describes,
+/// bit-identical to that slice of [`generate`]: every channel and
+/// seizure mask holds `to - from` samples, the first being sample
+/// `from`.
+///
+/// The cost is that of the samples asked for. All draws come from one
+/// ChaCha8 stream in a fixed layout (per node, per electrode: the
+/// preamble draws, then one draw per sample of the full recording, two
+/// words each), so each electrode seeks to its preamble and then to
+/// sample `from`. The seizure ramp at `from` is the distance back to the
+/// start of the mask run `from` is in.
+///
+/// # Panics
+///
+/// Panics on degenerate configs (as [`generate`]) or a range that is
+/// reversed or runs past the recording.
+pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteRecording {
     assert!(config.nodes >= 1, "need at least one node");
     assert!(config.electrodes_per_node >= 1, "need electrodes");
     assert!(config.duration_s > 0.0, "duration must be positive");
-    let samples = (config.duration_s * SAMPLE_RATE_HZ) as usize;
+    let samples = num_samples(config);
+    assert!(
+        from <= to && to <= samples,
+        "range {from}..{to} outside 0..{samples}"
+    );
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let electrode_words = (PREAMBLE_DRAWS + samples) as u128 * WORDS_PER_DRAW;
 
     let mut nodes = Vec::with_capacity(config.nodes);
     for node in 0..config.nodes {
         let mut channels = Vec::with_capacity(config.electrodes_per_node);
-        let mut seizure_mask = vec![false; samples];
 
-        // Mark seizure intervals for this node.
+        // Seizure intervals `[lo, hi)` at this node.
+        let mut runs = Vec::with_capacity(config.seizures.len());
         for ev in &config.seizures {
             assert!(ev.nodes <= config.nodes, "seizure lag table too small");
             if let Some(onset) = ev.onset_at(node) {
-                let from = (onset * SAMPLE_RATE_HZ) as usize;
-                let to = (((onset + ev.duration_s) * SAMPLE_RATE_HZ) as usize).min(samples);
-                for m in seizure_mask.iter_mut().take(to).skip(from.min(samples)) {
-                    *m = true;
-                }
+                let lo = (onset * SAMPLE_RATE_HZ) as usize;
+                let hi = (((onset + ev.duration_s) * SAMPLE_RATE_HZ) as usize).min(samples);
+                runs.push((lo, hi));
             }
         }
+        let seizure_mask: Vec<bool> = (from..to)
+            .map(|t| runs.iter().any(|&(lo, hi)| lo <= t && t < hi))
+            .collect();
+        // Start of the mask run that sample `from - 1` is in (`from`
+        // itself when that sample is not seizing).
+        let mut run_start = from;
+        while let Some(&(lo, _)) = runs
+            .iter()
+            .find(|&&(lo, hi)| lo < run_start && run_start <= hi)
+        {
+            run_start = lo;
+        }
 
-        for _ in 0..config.electrodes_per_node {
+        for e in 0..config.electrodes_per_node {
+            let preamble = (node * config.electrodes_per_node + e) as u128 * electrode_words;
+            rng.set_word_pos(preamble);
             // Octave oscillator bank for 1/f background: 8–512 Hz.
             // Sub-8 Hz background is deliberately absent so the 3 Hz
             // ictal discharge is spectrally separable (as it is in real
@@ -193,13 +244,14 @@ pub fn generate(config: &IeegConfig) -> MultiSiteRecording {
             // see the discharge nearly in phase.
             let jitter = rng.gen::<f64>() * 0.002;
             let elec_amp = 0.8 + 0.4 * rng.gen::<f64>();
+            rng.set_word_pos(preamble + (PREAMBLE_DRAWS + from) as u128 * WORDS_PER_DRAW);
 
-            let mut ch = Vec::with_capacity(samples);
+            let mut ch = Vec::with_capacity(to - from);
             // Consecutive seizure samples just before `t`: how far into
             // the current event the ramp is, kept as a running count
             // rather than re-scanned back from every sample.
-            let mut into_event = 0usize;
-            for (t, &seizing) in seizure_mask.iter().enumerate() {
+            let mut into_event = from - run_start;
+            for (t, &seizing) in (from..to).zip(&seizure_mask) {
                 let time_s = t as f64 / SAMPLE_RATE_HZ;
                 let mut v = 0.0;
                 for &(f, amp, phase) in &bank {
@@ -272,6 +324,87 @@ mod tests {
             }
         }
         assert_eq!(h, 0x4030_c270_3c46_a162, "{h:#018x}");
+    }
+
+    /// `generate_range` against the matching slice of `generate`, bit
+    /// for bit, samples and seizure mask.
+    fn assert_range_is_slice(cfg: &IeegConfig, full: &MultiSiteRecording, from: usize, to: usize) {
+        let part = generate_range(cfg, from, to);
+        for (n, (p, f)) in part.nodes.iter().zip(&full.nodes).enumerate() {
+            assert_eq!(p.seizure, f.seizure[from..to], "node {n} mask {from}..{to}");
+            for (e, (pc, fc)) in p.channels.iter().zip(&f.channels).enumerate() {
+                let same = pc.len() == to - from
+                    && pc
+                        .iter()
+                        .zip(&fc[from..to])
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "node {n} electrode {e} samples {from}..{to}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_are_slices_of_the_full_recording() {
+        // Serving shapes: 1x1 swap-experiment sessions, 2x4 benchmark
+        // (0.3 s) and catalog (0.9 s) sessions, the 2x8 default, and an
+        // odd one; ranges whole, window-aligned, ragged, empty and at
+        // the end.
+        for (nodes, electrodes, duration_s) in [
+            (1, 1, 0.2),
+            (2, 4, 0.3),
+            (2, 4, 0.9),
+            (2, 8, 1.0),
+            (3, 5, 0.3),
+        ] {
+            let cfg = IeegConfig {
+                nodes,
+                electrodes_per_node: electrodes,
+                duration_s,
+                seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, nodes, 0.0)],
+                seed: 0x5eed + nodes as u64,
+                ..Default::default()
+            };
+            let full = generate(&cfg);
+            let n = num_samples(&cfg);
+            for (from, to) in [(0, n), (480, 600), (1_234, 5_679), (77, 77), (n - 13, n)] {
+                assert_range_is_slice(&cfg, &full, from, to);
+            }
+        }
+    }
+
+    #[test]
+    fn a_range_starting_mid_ramp_continues_the_ramp() {
+        // Two overlapping events and a lagged node: the run at node 0
+        // starts at 0.3 s, so 0.31 s is 300 samples into a 3,000-sample
+        // ramp, and node 1's run starts 0.05 s later.
+        let mut cfg = small_config();
+        cfg.seizures
+            .push(SeizureEvent::uniform(0.35, 0.2, 0, 2, 0.05));
+        let full = generate(&cfg);
+        let mid = (0.31 * SAMPLE_RATE_HZ) as usize;
+        assert!(full.nodes[0].seizure[mid - 300] && !full.nodes[0].seizure[mid - 301]);
+        for (from, to) in [(mid, mid + 500), (11_000, 17_000), (16_500, 24_000)] {
+            assert_range_is_slice(&cfg, &full, from, to);
+        }
+        // Chained runs: 0.30–0.34 s and 0.33–0.38 s overlap, so at
+        // 0.35 s (sample 10,500, past the first event's end) the ramp
+        // is 1,500 samples in, counted from the first event's onset.
+        cfg.seizures = vec![
+            SeizureEvent::uniform(0.30, 0.04, 0, 2, 0.0),
+            SeizureEvent::uniform(0.33, 0.05, 0, 2, 0.0),
+        ];
+        let full = generate(&cfg);
+        assert!(full.nodes[0].seizure[9_000..11_400].iter().all(|&s| s));
+        for (from, to) in [(10_500, 12_000), (10_200, 10_300), (11_399, 11_401)] {
+            assert_range_is_slice(&cfg, &full, from, to);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn a_range_past_the_end_is_refused() {
+        let cfg = small_config();
+        generate_range(&cfg, 0, num_samples(&cfg) + 1);
     }
 
     #[test]

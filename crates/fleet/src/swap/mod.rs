@@ -26,7 +26,8 @@
 //!   time) and decodes it (SCSS checksum; seeded read-disturb faults are
 //!   retried up to [`SwapConfig::fault_retries`] times and then **fail
 //!   closed** — the burst is dropped, image and decisions intact). Its
-//!   pool job restores it by deterministic re-execution; the fault-in
+//!   pool job restores it: the image's detectors are installed and the
+//!   serving recording is re-executed to the cursor; the fault-in
 //!   latency lands in `fleet.swap_in_us` and a
 //!   [`Stage::SwapIn`](scalo_trace::Stage) span on traced sessions.
 //!

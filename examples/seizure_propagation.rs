@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example seizure_propagation`
 
-use scalo::core::apps::seizure::SeizureApp;
+use scalo::core::apps::seizure::{training_windows, SeizureApp};
 use scalo::core::ScaloConfig;
 use scalo::data::ieeg::{generate, IeegConfig, SeizureEvent};
 
@@ -13,15 +13,13 @@ fn main() {
 
     // A seizure starting at node 0 at t = 0.25 s, reaching the other
     // sites with 20 ms propagation lag per hop.
-    let recording = |seed| {
-        generate(&IeegConfig {
-            nodes,
-            electrodes_per_node: electrodes,
-            duration_s: 1.0,
-            seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, nodes, 0.02)],
-            seed,
-            ..Default::default()
-        })
+    let recording = |seed| IeegConfig {
+        nodes,
+        electrodes_per_node: electrodes,
+        duration_s: 1.0,
+        seizures: vec![SeizureEvent::uniform(0.25, 0.6, 0, nodes, 0.02)],
+        seed,
+        ..Default::default()
     };
 
     let config = ScaloConfig::default()
@@ -31,10 +29,10 @@ fn main() {
     let mut app = SeizureApp::new(config);
 
     println!("Training per-node seizure detectors on a calibration recording…");
-    app.train_detectors(&recording(1));
+    app.train_detectors(&training_windows(&recording(1)));
 
     println!("Streaming a test recording through the distributed protocol…\n");
-    let run = app.run(&recording(2));
+    let run = app.run(&generate(&recording(2)));
 
     match run.origin_detect_window {
         Some(w) => println!(

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: whole-stack scenarios through the
 //! `scalo` facade.
 
-use scalo::core::apps::seizure::SeizureApp;
+use scalo::core::apps::seizure::{training_windows, SeizureApp};
 use scalo::core::arch::{architecture_throughput, Architecture, Fig8Task};
 use scalo::core::runtime::McRuntime;
 use scalo::core::{Scalo, ScaloConfig};
@@ -11,15 +11,13 @@ use scalo::sched::Scenario;
 #[test]
 fn three_node_seizure_propagation_end_to_end() {
     let nodes = 3;
-    let recording = |seed| {
-        generate(&IeegConfig {
-            nodes,
-            electrodes_per_node: 4,
-            duration_s: 0.9,
-            seizures: vec![SeizureEvent::uniform(0.25, 0.55, 0, nodes, 0.02)],
-            seed,
-            ..Default::default()
-        })
+    let recording = |seed| IeegConfig {
+        nodes,
+        electrodes_per_node: 4,
+        duration_s: 0.9,
+        seizures: vec![SeizureEvent::uniform(0.25, 0.55, 0, nodes, 0.02)],
+        seed,
+        ..Default::default()
     };
     let mut app = SeizureApp::new(
         ScaloConfig::default()
@@ -27,8 +25,8 @@ fn three_node_seizure_propagation_end_to_end() {
             .with_electrodes(4)
             .with_seed(314),
     );
-    app.train_detectors(&recording(1));
-    let run = app.run(&recording(2));
+    app.train_detectors(&training_windows(&recording(1)));
+    let run = app.run(&generate(&recording(2)));
     assert!(run.origin_detect_window.is_some());
     assert!(
         !run.confirmations.is_empty(),
@@ -108,7 +106,7 @@ fn system_survives_harsh_network() {
         seed: 5,
         ..Default::default()
     });
-    app.train_detectors(&rec);
+    app.train_detectors(&training_windows(&rec.config));
     let run = app.run(&rec);
     assert!(app.system().stats().transmissions > 0);
     // The run itself must complete regardless of confirmation outcome.
