@@ -78,15 +78,30 @@ awk -v w="$wps" 'BEGIN {
   printf "fleet 4-worker throughput: %.1f windows/s (seed baseline 6751.2)\n", w
 }'
 
+echo "== parked radio wait guard (1-worker solo throughput) =="
+# Every fleet session waits 400 us on its radio per window. The pool
+# parks a waiting job off its worker (a timer, not a sleep), so one
+# worker keeps serving the other sessions through each wait. The seed,
+# which slept on the worker, recorded 1975.1 windows/s on the 1-worker
+# solo sweep entry; hold 4x that, which a worker that sleeps through
+# every wait cannot reach.
+wps1=$(sed -n 's/.*"sweep":\[{"workers":1,"wall_ms":[^,]*,"windows":[0-9]*,"windows_per_sec":\([0-9.]*\).*/\1/p' BENCH_fleet.json)
+test -n "$wps1" || { echo "no 1-worker sweep entry in BENCH_fleet.json" >&2; exit 1; }
+awk -v w="$wps1" 'BEGIN {
+  if (w + 0 < 7900) { printf "1-worker fleet throughput below the parked-wait floor: %.1f < 7900 windows/s\n", w; exit 1 }
+  printf "fleet 1-worker throughput: %.1f windows/s (floor 7900 = 4x the 1975.1 sleeping seed)\n", w
+}'
+
 echo "== cohort batching guard (digest parity + speedup floor) =="
 # The fleet experiment serves the population twice per worker count —
 # solo jobs and shape-twin cohorts — and asserts per-session decision
 # digests are byte-identical (a diverged run exits non-zero above).
 # Double-check the recorded verdict, then hold the 4-worker cohort
-# throughput floor: cohorts amortise the radio stall and fuse the
-# signal kernels, so they must clear a multiple of the 6751.2 win/s
-# solo seed baseline. The kernel share of the win scales with the SIMD
-# lane, so the multiplier steps down on narrower hosts.
+# throughput floor: a cohort serves one parked radio wait for all its
+# members and fuses their signal kernels, so it must clear a multiple
+# of the 6751.2 win/s solo seed baseline. The kernel share of the win
+# scales with the SIMD lane, so the multiplier steps down on narrower
+# hosts.
 cohort_ok=$(sed -n 's/.*"cohort":{"digests_match":\(true\|false\).*/\1/p' BENCH_fleet.json)
 test "$cohort_ok" = "true" \
   || { echo "cohort-batched decisions diverged from solo serving" >&2; exit 1; }

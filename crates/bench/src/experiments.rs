@@ -864,10 +864,10 @@ pub fn fault_tolerance(reps: usize) {
 /// A mixed patient population for fleet experiments: varying seeds,
 /// priorities, movement mixes, and transports, 0.6 s of signal each.
 /// Every session models a 400 µs per-window device wait (the time a
-/// real serving step blocks on the implant radio), which is what the
-/// worker pool overlaps across patients — the speedup measured by
-/// [`fleet`] is wait-overlap plus whatever CPU parallelism the host
-/// offers, exactly as in a real serving tier.
+/// real serving step waits on the implant radio). The fleet parks each
+/// wait off its worker, so even one worker serves other patients
+/// through it: the throughput [`fleet`] measures is the serving work
+/// plus each session's chain of waits, not a worker sleeping.
 fn fleet_population(sessions: usize) -> Vec<SessionSpec> {
     // The app mix per patient comes from the query catalog — the same
     // compiled plans the serving layer admits by — so the population's
@@ -914,8 +914,8 @@ pub fn fleet_trial(sessions: usize, workers: usize, quantum: usize) -> (FleetRep
 }
 
 /// [`fleet_trial`] with cohort batching on: sessions sharing a pipeline
-/// shape step as one fused lockstep job (one radio stall, one block
-/// hash, one FFT-plan walk per cohort window).
+/// shape step as one fused lockstep job (one parked radio wait, one
+/// block hash, one FFT-plan walk per cohort window).
 pub fn fleet_trial_cohort(sessions: usize, workers: usize, quantum: usize) -> (FleetReport, f64) {
     fleet_trial_with(sessions, workers, quantum, true)
 }
@@ -1112,8 +1112,8 @@ pub fn fleet(sessions: usize) {
     assert!(rejected && admitted, "admission showcase regressed");
 
     // Cohort batching: the same population served with shape-twin
-    // sessions fused into lockstep jobs — one radio stall, one block
-    // hash, one FFT-plan walk per cohort window. Decisions must stay
+    // sessions fused into lockstep jobs — one parked radio wait, one
+    // block hash, one FFT-plan walk per cohort window. Decisions must stay
     // byte-identical to solo serving at every worker count; the section
     // lands in BENCH_fleet.json so CI can hold the speedup floor.
     println!("\n-- cohort batching: fused shape-twin lockstep vs solo jobs --");

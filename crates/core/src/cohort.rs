@@ -5,11 +5,15 @@
 //! length, same decode cadence and transport — differing only in seed.
 //! [`Cohort::step_window`] steps any number of such sessions through one
 //! window at once, and a solo [`Session::step`] is the same engine over
-//! a cohort of one. Per window the engine runs one **pre-pass**:
+//! a cohort of one. The engine never waits: the modeled radio stall
+//! ([`SessionSpec::io_stall_us`]) is served by the caller **once** for
+//! the whole cohort — the implant radios are concurrent devices, so one
+//! wall-clock wait covers every member — and handed in as the window's
+//! `waited_ns` ([`Cohort::step_window_after`]). [`Session::step`] serves
+//! it as a sleep; a fleet parks the waiting job off its worker, so a
+//! waiting group holds no thread. Per window the engine then runs one
+//! **pre-pass**:
 //!
-//! * the modeled radio stall ([`SessionSpec::io_stall_us`]) is served
-//!   **once** for the whole cohort — the implant radios are concurrent
-//!   devices, so one wall-clock wait covers every member;
 //! * at each implant position, every member's window is gathered into
 //!   one fused channel-major block of `members × electrodes` lanes and
 //!   hashed with **one** batched SSH walk (`SshHasher::hash_block_into`);
@@ -36,10 +40,10 @@
 //! digest guards) hold cohort-stepped decisions byte-identical to solo
 //! stepping.
 //!
-//! The pre-pass is charged back to the members. Each member's window
-//! opens with the whole radio wait (every member waited all of it) and
-//! its lane share — `1/members` — of the gather, hash, and feature
-//! stages, as [`Stage::RadioWait`] / [`Stage::Gather`] /
+//! The wait and the pre-pass are charged back to the members. Each
+//! member's window opens with the whole radio wait (every member waited
+//! all of it) and its lane share — `1/members` — of the gather, hash,
+//! and feature stages, as [`Stage::RadioWait`] / [`Stage::Gather`] /
 //! [`Stage::Sketch`] / [`Stage::Filter`] spans inside its
 //! [`Stage::Window`] envelope, and the same charge is added to its
 //! [`StepOutcome::wall_us`]. Per-window stage totals therefore equal
@@ -82,7 +86,8 @@ pub struct CohortKey {
     pub movement_every: usize,
     /// Whether hash broadcasts ride the reliable transport.
     pub use_reliable_transport: bool,
-    /// Modeled per-window device wait in µs (shared by the cohort).
+    /// Modeled per-window device wait in µs (one wait serves the
+    /// cohort).
     pub io_stall_us: u64,
 }
 
@@ -189,28 +194,47 @@ impl Cohort {
         Self::default()
     }
 
-    /// Steps every session in `sessions` through exactly one window,
-    /// pushing one [`StepOutcome`] per member (in order) onto `out`
-    /// (cleared first). Members must share a [`CohortKey`] and sit at
-    /// the same window cursor — the cohort steps in lockstep from
-    /// admission, and a shared `duration_bits` makes them finish
-    /// together. Decisions are bit-identical to calling
-    /// [`Session::step`] on each member.
+    /// [`Self::step_window_after`] with no radio wait served: the
+    /// window is charged no `radio_wait`, whatever the members'
+    /// [`SessionSpec::io_stall_us`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::step_window_after`].
+    pub fn step_window(&mut self, sessions: &mut [Session], out: &mut Vec<StepOutcome>) {
+        self.step_window_after(sessions, 0, out);
+    }
+
+    /// Steps every session in `sessions` through exactly one window
+    /// after a radio wait of `waited_ns` that the caller has already
+    /// served, pushing one [`StepOutcome`] per member (in order) onto
+    /// `out` (cleared first). Every member is charged the whole wait.
+    /// Members must share a [`CohortKey`] and sit at the same window
+    /// cursor — the cohort steps in lockstep from admission, and a
+    /// shared `duration_bits` makes them finish together. Decisions are
+    /// bit-identical to calling [`Session::step`] on each member.
     ///
     /// # Panics
     ///
     /// Panics if `sessions` is empty, or if members disagree on the
     /// cohort key or window cursor.
-    pub fn step_window(&mut self, sessions: &mut [Session], out: &mut Vec<StepOutcome>) {
+    pub fn step_window_after(
+        &mut self,
+        sessions: &mut [Session],
+        waited_ns: u64,
+        out: &mut Vec<StepOutcome>,
+    ) {
         out.clear();
-        self.step_each(sessions, |o| out.push(o));
+        self.step_each(sessions, waited_ns, |o| out.push(o));
     }
 
-    /// [`Self::step_window`] handing each member's outcome to `emit`
-    /// (member order) — the form [`Session::step`] runs on itself.
+    /// [`Self::step_window_after`] handing each member's outcome to
+    /// `emit` (member order) — the form [`Session::step_after`] runs on
+    /// itself.
     pub(crate) fn step_each(
         &mut self,
         sessions: &mut [Session],
+        waited_ns: u64,
         mut emit: impl FnMut(StepOutcome),
     ) {
         let first = &sessions[0];
@@ -228,17 +252,7 @@ impl Cohort {
             return;
         }
         let members = sessions.len();
-
-        // One wall-clock radio wait covers the whole cohort: the modeled
-        // implant radios stream concurrently.
-        let mut start = Instant::now();
-        let mut stall_ns = 0;
-        if key.io_stall_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(key.io_stall_us));
-            let slept = Instant::now();
-            stall_ns = (slept - start).as_nanos() as u64;
-            start = slept;
-        }
+        let start = Instant::now();
         let timed = sessions.iter().any(|s| s.trace().is_enabled());
         let stages = self.prepass(
             sessions[0].app(),
@@ -252,12 +266,12 @@ impl Cohort {
         let n = members as u64;
         let charge = Charge {
             spans: [
-                (Stage::RadioWait, stall_ns),
+                (Stage::RadioWait, waited_ns),
                 (Stage::Gather, stages[0] / n),
                 (Stage::Sketch, stages[1] / n),
                 (Stage::Filter, stages[2] / n),
             ],
-            ns: stall_ns + (end - start).as_nanos() as u64 / n,
+            ns: waited_ns + (end - start).as_nanos() as u64 / n,
         };
 
         // Fan out: each member consumes its lanes and runs its own

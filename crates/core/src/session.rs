@@ -21,7 +21,7 @@ use crate::snapshot::{fnv1a, Fnv64, SessionSnapshot, SnapshotError};
 use crate::workspace::Workspace;
 use scalo_data::ieeg::{generate, IeegConfig, MultiSiteRecording, SeizureEvent};
 use scalo_trace::{Recorder, SpanEvent, Stage};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Everything that defines one patient's session: identity, seed,
 /// deployment preset, and application mix.
@@ -51,9 +51,13 @@ pub struct SessionSpec {
     pub step_deadline_us: u64,
     /// Modeled per-window device wait in µs (0 = none): the time a real
     /// serving step spends blocked on the implant radio before the
-    /// window's samples are available. Realised as an actual sleep so
-    /// serving-layer concurrency is measurable; it feeds wall-clock
-    /// accounting only and never touches decision state.
+    /// window's samples are available. The window engine never waits:
+    /// [`Session::step`] serves it as a blocking sleep, and a fleet
+    /// parks the session's job off its worker until the wait has passed
+    /// (so a waiting session holds no thread). Either way the wait is
+    /// charged to the window's wall time and `radio_wait` stage; it
+    /// never touches decision state. Images carry at most
+    /// [`crate::snapshot::MAX_IO_STALL_US`].
     pub io_stall_us: u64,
     /// Span-recorder ring capacity in events (0 = tracing disabled, the
     /// default). When nonzero the session's `Workspace` carries an
@@ -505,15 +509,35 @@ impl Session {
     /// call does a bounded slice of work and returns; wall-clock timing
     /// feeds metrics only, never decisions.
     ///
+    /// The modeled radio wait ([`SessionSpec::io_stall_us`]) is served
+    /// here as a blocking sleep, then the window is stepped by
+    /// [`Self::step_after`]. This is the one place a session's wait
+    /// blocks its thread: a fleet parks the wait off its worker and
+    /// calls [`Self::step_after`] when it has passed.
+    pub fn step(&mut self) -> StepOutcome {
+        let mut waited_ns = 0;
+        if self.spec.io_stall_us > 0 && !self.is_done() {
+            let t0 = Instant::now();
+            std::thread::sleep(Duration::from_micros(self.spec.io_stall_us));
+            waited_ns = t0.elapsed().as_nanos() as u64;
+        }
+        self.step_after(waited_ns)
+    }
+
+    /// Steps one window after a radio wait of `waited_ns` that the
+    /// caller has already served: the wait is charged to the window as
+    /// [`Stage::RadioWait`] and to its wall time, and nothing here
+    /// waits.
+    ///
     /// This is the window engine ([`crate::cohort::Cohort`]) over a
     /// cohort of one, its scratch borrowed from the session's own
-    /// workspace for the call: the radio stall, the pre-pass, and the
-    /// window step are the ones a fleet cohort runs, so decisions are
-    /// bit-identical whichever way a session is stepped.
-    pub fn step(&mut self) -> StepOutcome {
+    /// workspace for the call: the pre-pass and the window step are the
+    /// ones a fleet cohort runs, so decisions are bit-identical
+    /// whichever way a session is stepped.
+    pub fn step_after(&mut self, waited_ns: u64) -> StepOutcome {
         let mut engine = std::mem::take(&mut self.workspace.engine);
         let mut out = None;
-        engine.step_each(std::slice::from_mut(self), |o| out = Some(o));
+        engine.step_each(std::slice::from_mut(self), waited_ns, |o| out = Some(o));
         self.workspace.engine = engine;
         out.expect("a cohort of one steps one member")
     }
@@ -619,6 +643,18 @@ impl Session {
     /// by the serving layer when a quantum yields with work remaining.
     pub fn note_yielded(&mut self) {
         self.workspace.trace.mark_queued();
+    }
+
+    /// Records the delay between a parked radio wait's deadline and the
+    /// worker picking the session back up, `late_ns`, as a
+    /// [`Stage::Queue`] span stamped with the next window. The wait
+    /// itself is charged by [`Self::step_after`], so a parked window
+    /// never also passes through [`Self::note_yielded`] and
+    /// [`Self::note_scheduled`]. No-op when untraced.
+    pub fn note_resumed(&mut self, late_ns: u64) {
+        let next = self.state.window() as u32;
+        self.workspace.trace.set_window(next);
+        self.workspace.trace.record_external(Stage::Queue, late_ns);
     }
 
     /// Records an externally timed fault-in as a [`Stage::SwapIn`] span
@@ -771,16 +807,15 @@ impl Session {
         let mut app = patient_app(&base);
         app.install_detectors(snap.detectors.clone());
         let mut session = Self::assemble(base, app);
-        session.spec.io_stall_us = 0;
         for (window, binding) in &snap.reconfigures {
             while (session.state.window() as u64) < *window && !session.state.is_done() {
-                session.step();
+                session.step_after(0);
             }
             session.apply_binding(binding);
             session.reconfigures.push((*window, binding.clone()));
         }
         while (session.state.window() as u64) < snap.window && !session.state.is_done() {
-            session.step();
+            session.step_after(0);
         }
         session.spec = snap.spec.clone();
         session.app.use_reliable_transport = snap.spec.use_reliable_transport;

@@ -25,11 +25,31 @@
 //! cursor and RNG position byte-for-byte — divergence is an error,
 //! never silent.
 
+use crate::apps::seizure::WINDOW_US;
 use crate::node::Node;
 use crate::session::{QueryBinding, SessionSpec};
 use scalo_data::ieeg::MAX_NODES;
+use scalo_data::SAMPLE_RATE_HZ;
 use scalo_ml::svm::LinearSvm;
 use std::fmt;
+
+/// Most electrodes an image may give one implant: SCALO's per-implant
+/// electrode count ([`crate::config::ScaloConfig`]).
+pub const MAX_ELECTRODES: usize = 96;
+
+/// Longest recording an image may carry, s (2,500 windows).
+pub const MAX_DURATION_S: f64 = 10.0;
+
+/// Most samples an image's serving recording may hold across every
+/// node and electrode (1 GiB of `f64`): restore synthesizes it.
+pub const MAX_RECORDING_SAMPLES: usize = 1 << 27;
+
+/// Largest span ring an image may ask restore to pre-allocate, events.
+pub const MAX_TRACE_CAPACITY: usize = 1 << 20;
+
+/// Longest modeled radio wait an image may carry, µs: one window's
+/// period. A longer wait could never keep up with the stream.
+pub const MAX_IO_STALL_US: u64 = WINDOW_US;
 
 /// Magic bytes opening every encoded snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SCSS";
@@ -220,9 +240,13 @@ impl SessionSnapshot {
         put_u64(out, checksum);
     }
 
-    /// Checks the fields a restore would otherwise panic on or could not
-    /// serve: a deployment of `1..=MAX_NODES` implants with electrodes,
-    /// a positive finite duration, a bit-error ratio in `[0, 1)`, and one
+    /// Checks the fields a restore would otherwise panic on, could not
+    /// serve, or would size allocations and waits by: a deployment of
+    /// `1..=MAX_NODES` implants with `1..=MAX_ELECTRODES` electrodes, a
+    /// positive duration of at most [`MAX_DURATION_S`] whose recording
+    /// holds at most [`MAX_RECORDING_SAMPLES`] samples, a bit-error
+    /// ratio in `[0, 1)`, a trace ring of at most [`MAX_TRACE_CAPACITY`]
+    /// events, a radio wait of at most [`MAX_IO_STALL_US`], and one
     /// detector per node, each [`Node::DETECTION_FEATURES`] weights long
     /// with every weight and the bias finite. [`Self::decode`] and
     /// [`crate::session::Session::restore`] both run it.
@@ -288,7 +312,24 @@ impl SessionSnapshot {
         let step_deadline_us = r.u64()?;
         let io_stall_us = r.u64()?;
         let trace_capacity = r.u64()? as usize;
-        let query = r.opt_str()?;
+        let mut spec = SessionSpec {
+            id,
+            seed,
+            priority,
+            nodes,
+            electrodes,
+            duration_s,
+            ber,
+            use_reliable_transport,
+            movement_every,
+            step_deadline_us,
+            io_stall_us,
+            trace_capacity,
+            query: None,
+        };
+        // Before anything is allocated: a forged shape fails here.
+        validate_spec(&spec)?;
+        spec.query = r.opt_str()?;
         let initial_binding = r.binding()?;
         let n_reconfigures = r.u64()? as usize;
         // Each transition is at least 8 (window) + 9 (binding fixed
@@ -307,22 +348,6 @@ impl SessionSnapshot {
             last_window = at;
             reconfigures.push((at, r.binding()?));
         }
-        let spec = SessionSpec {
-            id,
-            seed,
-            priority,
-            nodes,
-            electrodes,
-            duration_s,
-            ber,
-            use_reliable_transport,
-            movement_every,
-            step_deadline_us,
-            io_stall_us,
-            trace_capacity,
-            query,
-        };
-        validate_spec(&spec)?;
         let window = r.u64()?;
         if reconfigures.last().is_some_and(|&(at, _)| at > window) {
             return Err(SnapshotError::Invalid("reconfigure beyond the cursor"));
@@ -391,11 +416,27 @@ fn validate_spec(s: &SessionSpec) -> Result<(), SnapshotError> {
     if s.nodes > MAX_NODES {
         return Err(SnapshotError::Invalid("node count"));
     }
+    if s.electrodes > MAX_ELECTRODES {
+        return Err(SnapshotError::Invalid("electrode count"));
+    }
     if !s.duration_s.is_finite() || s.duration_s <= 0.0 {
         return Err(SnapshotError::Invalid("non-positive duration"));
     }
+    if s.duration_s > MAX_DURATION_S {
+        return Err(SnapshotError::Invalid("duration"));
+    }
+    let per_channel = (s.duration_s * SAMPLE_RATE_HZ) as usize;
+    if s.nodes * s.electrodes * per_channel > MAX_RECORDING_SAMPLES {
+        return Err(SnapshotError::Invalid("recording size"));
+    }
     if !(0.0..1.0).contains(&s.ber) {
         return Err(SnapshotError::Invalid("bit-error ratio"));
+    }
+    if s.trace_capacity > MAX_TRACE_CAPACITY {
+        return Err(SnapshotError::Invalid("trace capacity"));
+    }
+    if s.io_stall_us > MAX_IO_STALL_US {
+        return Err(SnapshotError::Invalid("radio wait"));
     }
     Ok(())
 }

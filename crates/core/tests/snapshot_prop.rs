@@ -8,7 +8,10 @@
 use proptest::prelude::*;
 use scalo_core::node::Node;
 use scalo_core::session::{QueryBinding, Session, SessionSpec};
-use scalo_core::snapshot::{fnv1a, SessionSnapshot, SnapshotError};
+use scalo_core::snapshot::{
+    fnv1a, SessionSnapshot, SnapshotError, MAX_DURATION_S, MAX_ELECTRODES, MAX_IO_STALL_US,
+    MAX_TRACE_CAPACITY,
+};
 use scalo_ml::svm::LinearSvm;
 
 #[global_allocator]
@@ -275,4 +278,54 @@ fn forged_detector_fields_allocate_nothing_large() {
         assert_eq!(decoded, Err(SnapshotError::Invalid(what)));
         assert!(heap.bytes < 4096, "{what} forged to {value}: {heap:?}");
     }
+}
+
+/// A checksummed image whose spec forges a field restore sizes an
+/// allocation or a wait by — electrodes, duration, the recording they
+/// make up, the trace ring, the radio wait — is refused by decode and by
+/// restore before anything is allocated.
+#[test]
+fn forged_spec_bounds_fail_closed_before_allocating() {
+    let mut session = Session::new(SessionSpec::new(10, 0xb0d).with_duration_s(0.2));
+    for _ in 0..5 {
+        session.step();
+    }
+    let clean = session.snapshot();
+    type Forge = fn(&mut SessionSpec);
+    let cases: [(&str, Forge); 8] = [
+        ("electrode count", |s| s.electrodes = MAX_ELECTRODES + 1),
+        ("electrode count", |s| s.electrodes = usize::MAX),
+        ("duration", |s| s.duration_s = 2.0 * MAX_DURATION_S),
+        ("recording size", |s| {
+            s.nodes = 16;
+            s.electrodes = MAX_ELECTRODES;
+            s.duration_s = MAX_DURATION_S;
+        }),
+        ("trace capacity", |s| {
+            s.trace_capacity = MAX_TRACE_CAPACITY + 1
+        }),
+        ("trace capacity", |s| s.trace_capacity = usize::MAX),
+        ("radio wait", |s| s.io_stall_us = MAX_IO_STALL_US + 1),
+        ("radio wait", |s| s.io_stall_us = u64::MAX),
+    ];
+    for (what, forge) in cases {
+        let mut snap = clean.clone();
+        forge(&mut snap.spec);
+        // Encoding the edited snapshot re-seals the checksum.
+        let bytes = snap.encode();
+        let (decoded, heap) = scalo_alloc::measure(|| SessionSnapshot::decode(&bytes));
+        assert_eq!(decoded, Err(SnapshotError::Invalid(what)));
+        assert_eq!(
+            heap.allocs, 0,
+            "decode of a forged {what} allocated: {heap:?}"
+        );
+        let (restored, heap) = scalo_alloc::measure(|| Session::restore(&snap).map(|_| ()));
+        assert_eq!(restored, Err(SnapshotError::Invalid(what)));
+        assert_eq!(
+            heap.allocs, 0,
+            "restore of a forged {what} allocated: {heap:?}"
+        );
+    }
+    // The bounds admit the image as it was served.
+    assert!(SessionSnapshot::decode(&clean.encode()).is_ok());
 }

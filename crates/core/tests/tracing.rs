@@ -5,7 +5,9 @@
 
 use scalo_core::cohort::Cohort;
 use scalo_core::session::{Session, SessionSpec};
-use scalo_trace::{attribute, deadline_miss_report, Stage, WindowBreakdown};
+use scalo_fleet::{Fleet, FleetConfig};
+use scalo_trace::{attribute, deadline_miss_report, SpanEvent, Stage, WindowBreakdown};
+use std::time::{Duration, Instant};
 
 fn spec(trace_capacity: usize) -> SessionSpec {
     SessionSpec::new(1, 0xbeef)
@@ -50,7 +52,7 @@ fn served_session_spans_are_balanced_and_attributable() {
     assert_balanced_and_attributable(&mut run(spec(256 * 1024)));
 
     // Three shape twins stepped as one cohort, with a modeled radio
-    // wait the engine serves once for all of them.
+    // wait served once for all of them and handed to the engine.
     const STALL_US: u64 = 200;
     let mut members: Vec<Session> = (0..3)
         .map(|i| {
@@ -63,7 +65,10 @@ fn served_session_spans_are_balanced_and_attributable() {
     let mut cohort = Cohort::new();
     let mut out = Vec::new();
     loop {
-        cohort.step_window(&mut members, &mut out);
+        let t0 = Instant::now();
+        std::thread::sleep(Duration::from_micros(STALL_US));
+        let waited_ns = t0.elapsed().as_nanos() as u64;
+        cohort.step_window_after(&mut members, waited_ns, &mut out);
         if out.iter().all(|o| o.done) {
             break;
         }
@@ -73,15 +78,66 @@ fn served_session_spans_are_balanced_and_attributable() {
     for s in members.iter_mut() {
         let breakdowns = assert_balanced_and_attributable(s);
         // Every member waited the whole stall, inside its envelope.
-        for b in &breakdowns {
+        assert_radio_wait_charged(s.id(), &breakdowns, STALL_US);
+    }
+}
+
+/// The fleet parks a window's radio wait off its worker instead of
+/// sleeping on it. The parked path must charge exactly as the blocking
+/// one: every window's envelope opens with the whole wait as
+/// `radio_wait`, stage totals still equal wall time, and the envelopes
+/// fit in the wall time the session reports (each envelope is measured
+/// inside its window's wall time, so they add up to at most it). The
+/// delay between the
+/// wait's deadline and the resume is queueing, outside the envelope:
+/// exactly one `queue` span per parked window, so no wait is also
+/// booked as a run-queue gap.
+#[test]
+fn parked_radio_wait_is_charged_like_a_served_one() {
+    const STALL_US: u64 = 300;
+    for (workers, cohort) in [(1, false), (2, false), (1, true), (2, true)] {
+        let mut fleet = Fleet::new(FleetConfig::new(workers).with_cohort(cohort));
+        for id in 0..3 {
+            let mut s = spec(256 * 1024).with_io_stall_us(STALL_US);
+            s.id = 20 + id;
+            s.seed = 0xbeef + 5 * id;
+            fleet.submit(s).expect("fits the default budget");
+        }
+        let report = fleet.run();
+        assert_eq!(report.sessions.len(), 3);
+        for served in &report.sessions {
+            let breakdowns = assert_attributable(&served.trace);
+            assert_radio_wait_charged(served.id, &breakdowns, STALL_US);
+            let envelopes_us: u64 = breakdowns.iter().map(|b| b.wall_ns / 1_000).sum();
             assert!(
-                b.stage_ns(Stage::RadioWait) >= STALL_US * 1_000,
-                "session {} window {}: radio wait {} ns",
-                s.id(),
-                b.window,
-                b.stage_ns(Stage::RadioWait)
+                envelopes_us <= served.wall_us,
+                "session {} ({workers} workers, cohort {cohort}): envelopes {envelopes_us} µs vs wall {} µs",
+                served.id,
+                served.wall_us
+            );
+            let queue_spans = served
+                .trace
+                .iter()
+                .filter(|e| e.stage == Stage::Queue)
+                .count();
+            assert_eq!(
+                queue_spans,
+                breakdowns.len(),
+                "session {}: queue spans vs parked windows",
+                served.id
             );
         }
+    }
+}
+
+fn assert_radio_wait_charged(id: u64, breakdowns: &[WindowBreakdown], stall_us: u64) {
+    for b in breakdowns {
+        assert!(
+            b.stage_ns(Stage::RadioWait) >= stall_us * 1_000,
+            "session {id} window {}: radio wait {} ns",
+            b.window,
+            b.stage_ns(Stage::RadioWait)
+        );
     }
 }
 
@@ -90,10 +146,12 @@ fn assert_balanced_and_attributable(s: &mut Session) -> Vec<WindowBreakdown> {
     assert_eq!(rec.unbalanced(), 0, "begin/end mismatch on the hot path");
     assert_eq!(rec.open_depth(), 0, "a span was left open");
     assert_eq!(rec.dropped(), 0, "capacity was sized to hold the run");
+    assert_attributable(&s.take_trace_events())
+}
 
-    let events = s.take_trace_events();
+fn assert_attributable(events: &[SpanEvent]) -> Vec<WindowBreakdown> {
     assert!(!events.is_empty());
-    let breakdowns = attribute(&events);
+    let breakdowns = attribute(events);
     assert_eq!(breakdowns.len(), 100, "0.4 s = 100 windows, all enveloped");
     for b in &breakdowns {
         assert_eq!(

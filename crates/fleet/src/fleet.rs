@@ -23,7 +23,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Fleet configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,8 +41,8 @@ pub struct FleetConfig {
     /// lost, exactly as in a process kill.
     pub halt_after_windows: Option<u64>,
     /// Cohort-batched execution: sessions that share a [`CohortKey`] and
-    /// a window cursor step as one lockstep job — one radio stall, one
-    /// block hash, one FFT-plan walk per window (off: every session is
+    /// a window cursor step as one lockstep job — one parked radio wait,
+    /// one block hash, one FFT-plan walk per window (off: every session is
     /// a group of one). Decisions are bit-identical either way; sessions
     /// with a pending hot reconfiguration stay groups of one.
     pub cohort: bool,
@@ -494,7 +494,9 @@ impl Shared {
 /// The pool's one job type: one arrival's burst for a group of sessions
 /// stepped in lockstep through the window engine ([`scalo_core::cohort`]).
 /// It stops at its burst length or at completion and yields every
-/// `quantum_steps` windows.
+/// `quantum_steps` windows. Before each window with a modeled radio
+/// wait it parks ([`Quantum::WaitUntil`]), so the wait holds no worker,
+/// and steps the window when it resumes.
 struct GroupJob {
     shared: Arc<Shared>,
     sessions: Vec<Session>,
@@ -512,6 +514,9 @@ struct GroupJob {
     /// replay would desync a lockstep cursor).
     reconfigure: Option<ReconfigureRequest>,
     reconfigure_record: Option<ReconfigureRecord>,
+    /// The radio wait the group is parked on: when it began and its
+    /// deadline.
+    parked: Option<(Instant, Instant)>,
 }
 
 impl GroupJob {
@@ -551,14 +556,43 @@ impl GroupJob {
         true
     }
 
-    /// Steps every member through one window.
-    fn step(&mut self) {
+    /// Starts the next window's radio wait, if the group has one to
+    /// serve: returns its deadline.
+    fn park(&mut self) -> Option<Instant> {
+        let lead = &self.sessions[0];
+        let stall_us = lead.spec().io_stall_us;
+        if stall_us == 0 || lead.is_done() {
+            return None;
+        }
+        let since = Instant::now();
+        let deadline = since + Duration::from_micros(stall_us);
+        self.parked = Some((since, deadline));
+        Some(deadline)
+    }
+
+    /// Ends a parked wait: the wait is charged from its start to its
+    /// deadline (returned, ns), and any delay past the deadline before
+    /// this resume is the members' queueing.
+    fn resume(&mut self) -> Option<u64> {
+        let (since, deadline) = self.parked.take()?;
+        let late_ns = deadline.elapsed().as_nanos() as u64;
+        for s in self.sessions.iter_mut() {
+            s.note_resumed(late_ns);
+        }
+        Some((deadline - since).as_nanos() as u64)
+    }
+
+    /// Steps every member through one window after a served radio wait
+    /// of `waited_ns`.
+    fn step(&mut self, waited_ns: u64) {
         match self.sessions.as_mut_slice() {
             [solo] => {
                 self.outcomes.clear();
-                self.outcomes.push(solo.step());
+                self.outcomes.push(solo.step_after(waited_ns));
             }
-            group => self.engine.step_window(group, &mut self.outcomes),
+            group => self
+                .engine
+                .step_window_after(group, waited_ns, &mut self.outcomes),
         }
     }
 
@@ -622,14 +656,22 @@ impl WorkUnit for GroupJob {
         if self.shared.halted.load(Ordering::Relaxed) || !self.materialize() || self.burst == 0 {
             return Quantum::Done;
         }
-        // Close any pending run-queue gap as a `queue` span (no-op when
-        // a session's recorder is disabled).
-        for s in self.sessions.iter_mut() {
-            s.note_scheduled();
+        let mut waited_ns = self.resume();
+        if waited_ns.is_none() {
+            // Close any pending run-queue gap as a `queue` span (no-op
+            // when a session's recorder is disabled).
+            for s in self.sessions.iter_mut() {
+                s.note_scheduled();
+            }
         }
         for _ in 0..self.shared.quantum_steps {
-            self.maybe_reconfigure();
-            self.step();
+            if waited_ns.is_none() {
+                self.maybe_reconfigure();
+                if let Some(deadline) = self.park() {
+                    return Quantum::WaitUntil(deadline);
+                }
+            }
+            self.step(waited_ns.take().unwrap_or(0));
             self.burst -= 1;
             let shared = &*self.shared;
             for (m, out) in self.outcomes.iter().enumerate() {
@@ -1208,6 +1250,7 @@ impl Fleet {
             failed: None,
             reconfigure,
             reconfigure_record: None,
+            parked: None,
         }
     }
 

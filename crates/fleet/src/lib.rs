@@ -9,7 +9,8 @@
 //! * [`pool`] — lock-free Chase-Lev work-stealing deques (built on
 //!   `std::thread` and atomics, no locks), so one patient's slow
 //!   seizure-confirmation step never stalls the rest of the fleet and
-//!   idle workers steal without contending on a mutex;
+//!   idle workers steal without contending on a mutex, and a job
+//!   waiting on its radio parks on a timer instead of holding a worker;
 //! * [`admission`] — an aggregate compute budget at the front door,
 //!   degrading gracefully by shedding lowest-priority sessions first
 //!   (the membership layer's eviction idiom, one level up);

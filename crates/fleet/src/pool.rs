@@ -6,7 +6,12 @@
 //! runs long ties up one worker while every other job drains through the
 //! remaining deques. Jobs are cooperative: [`WorkUnit::run_quantum`] does
 //! a bounded slice of work and yields, and a yielded job goes back to its
-//! worker's deque.
+//! worker's deque. A job that must wait for a device (the modeled implant
+//! radio) parks instead ([`Quantum::WaitUntil`]): it goes onto its
+//! worker's timer heap, not a deque, so the wait holds no worker. Before
+//! every take or steal the worker moves its expired timers back onto its
+//! own deque, and a worker with nothing runnable but parked jobs sleeps
+//! until the earliest deadline instead of spinning.
 //!
 //! The deque is the fixed-capacity Chase-Lev design with the
 //! memory-ordering recipe of Lê, Pop, Cohen & Zappa Nardelli ("Correct
@@ -24,7 +29,10 @@
 //! deque can never hold `capacity` entries, so a push can never overwrite
 //! a ring slot a concurrent thief is still reading (overwriting slot
 //! `t % cap` would require `bottom − t ≥ cap > n`). That removes the
-//! buffer-growth/reclamation problem entirely.
+//! buffer-growth/reclamation problem entirely. Parking keeps the bound: a
+//! parked index sits in its worker's timer heap and in no deque, and goes
+//! back onto exactly one deque when it expires, so each index is still in
+//! at most one deque and the deques together never hold more than `n`.
 //!
 //! The pool is deliberately oblivious to what a job computes, which is
 //! what makes fleet execution reproducible: a job owns all of its state,
@@ -32,13 +40,19 @@
 //! interleaving, never a result.
 
 use std::cell::UnsafeCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// What one scheduling quantum accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Quantum {
     /// More work remains: requeue the job.
     Yield,
+    /// More work remains once the instant has passed: park the job off
+    /// every deque until then, freeing the worker for other jobs.
+    WaitUntil(Instant),
     /// The job is finished: retire it.
     Done,
 }
@@ -175,13 +189,15 @@ impl Deque {
 }
 
 /// One job slot. Exclusive access is conferred by holding the slot's
-/// index popped from a deque (or, before the workers start and after
-/// they join, by `&mut` on the pool itself).
+/// index popped from a deque or parked on the holder's own timer heap
+/// (or, before the workers start and after they join, by `&mut` on the
+/// pool itself).
 struct Slot<J>(UnsafeCell<Option<J>>);
 
 // SAFETY: slots are shared across worker threads, but the deque protocol
 // guarantees at most one thread holds a given index at a time (each
-// index lives in at most one deque, and push/steal hand it over with
+// index lives in at most one deque or one worker's private timer heap,
+// and push/steal hand it over with
 // Release/Acquire + SeqCst-CAS ordering), so all access to the inner
 // `Option<J>` is externally synchronized. `J: Send` is required by
 // `WorkUnit`, so moving the job between threads is sound.
@@ -240,6 +256,10 @@ pub fn run_to_completion<J: WorkUnit>(jobs: Vec<J>, workers: usize) -> (Vec<J>, 
 }
 
 fn worker_loop<J: WorkUnit>(pool: &Pool<J>, me: usize) {
+    // Jobs this worker parked, earliest deadline first. Only this worker
+    // touches its heap; an expired entry goes back onto its own deque,
+    // where any worker may steal it.
+    let mut timers: BinaryHeap<Reverse<(Instant, usize)>> = BinaryHeap::new();
     // Exponential idle backoff instead of a condvar: spin first (another
     // worker usually yields a stealable job within microseconds), then
     // yield the CPU, then sleep briefly. Wakeups are therefore batched
@@ -247,11 +267,27 @@ fn worker_loop<J: WorkUnit>(pool: &Pool<J>, me: usize) {
     // the victims rather than one notification per job.
     let mut idle = 0u32;
     loop {
+        if !timers.is_empty() {
+            let now = Instant::now();
+            while let Some(&Reverse((deadline, idx))) = timers.peek() {
+                if deadline > now {
+                    break;
+                }
+                timers.pop();
+                pool.deques[me].push(idx);
+            }
+        }
         let claimed = match pool.deques[me].take() {
             Some(idx) => Some((idx, false)),
             None => steal_round(pool, me).map(|idx| (idx, true)),
         };
         let Some((idx, stolen)) = claimed else {
+            if let Some(&Reverse((deadline, _))) = timers.peek() {
+                // Nothing runnable, but a parked job of ours is due:
+                // sleep until it is rather than spin.
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                continue;
+            }
             if pool.pending.load(Ordering::Acquire) == 0 {
                 break;
             }
@@ -276,15 +312,17 @@ fn worker_loop<J: WorkUnit>(pool: &Pool<J>, me: usize) {
         }
         let outcome = job.run_quantum();
         // SAFETY: still the exclusive holder of `idx`; returning the job
-        // to its slot happens before the index is republished (push) or
-        // retired (pending decrement), either of which orders the write
-        // for the next observer.
+        // to its slot happens before the index is republished (push),
+        // parked on this thread's own timer heap, or retired (pending
+        // decrement), each of which orders the write for the next
+        // observer.
         unsafe { *pool.slots[idx].0.get() = Some(job) };
         match outcome {
             Quantum::Done => {
                 pool.pending.fetch_sub(1, Ordering::AcqRel);
             }
             Quantum::Yield => pool.deques[me].push(idx),
+            Quantum::WaitUntil(deadline) => timers.push(Reverse((deadline, idx))),
         }
     }
 }
@@ -310,7 +348,8 @@ fn steal_round<J>(pool: &Pool<J>, me: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::time::Duration;
 
     /// Counts down `remaining` one tick per quantum.
     struct Ticker {
@@ -375,6 +414,138 @@ mod tests {
         assert_eq!(done.len(), 33);
         assert!(done.iter().all(|t| t.remaining == 0));
         assert_eq!(report.quanta, 512 + 32);
+    }
+
+    /// Ticks `remaining` times, parking for `pause` after every tick
+    /// but the last (and yielding instead on odd ticks when `alternate`
+    /// is set). Once `halt` is raised it retires at its next quantum.
+    struct Parker<'a> {
+        remaining: u32,
+        ticks: u32,
+        pause: Duration,
+        alternate: bool,
+        halt: &'a AtomicBool,
+    }
+
+    impl WorkUnit for Parker<'_> {
+        fn run_quantum(&mut self) -> Quantum {
+            if self.halt.load(Ordering::Relaxed) {
+                return Quantum::Done;
+            }
+            self.ticks += 1;
+            self.remaining -= 1;
+            if self.remaining == 0 {
+                Quantum::Done
+            } else if self.alternate && self.ticks % 2 == 1 {
+                Quantum::Yield
+            } else {
+                Quantum::WaitUntil(Instant::now() + self.pause)
+            }
+        }
+    }
+
+    #[test]
+    fn parked_jobs_retire_with_exact_quanta() {
+        let halt = AtomicBool::new(false);
+        for workers in [1, 2, 4] {
+            let jobs: Vec<Parker> = (0..12)
+                .map(|i| Parker {
+                    remaining: 1 + i % 5,
+                    ticks: 0,
+                    pause: Duration::from_micros(50 * u64::from(i % 3)),
+                    alternate: i % 2 == 1,
+                    halt: &halt,
+                })
+                .collect();
+            let (done, report) = run_to_completion(jobs, workers);
+            for (i, p) in done.iter().enumerate() {
+                assert_eq!(p.ticks, 1 + (i as u32) % 5, "job {i} on {workers} workers");
+                assert_eq!(p.remaining, 0);
+            }
+            let expected: u32 = (0..12u32).map(|i| 1 + i % 5).sum();
+            assert_eq!(report.quanta, u64::from(expected), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn parked_waits_overlap_on_one_worker() {
+        // 8 jobs × 10 parks × 2 ms is 160 ms of waiting end to end; one
+        // worker overlaps the waits instead of sleeping through each.
+        let halt = AtomicBool::new(false);
+        let jobs: Vec<Parker> = (0..8)
+            .map(|_| Parker {
+                remaining: 11,
+                ticks: 0,
+                pause: Duration::from_millis(2),
+                alternate: false,
+                halt: &halt,
+            })
+            .collect();
+        let t0 = Instant::now();
+        let (done, report) = run_to_completion(jobs, 1);
+        let elapsed = t0.elapsed();
+        assert!(done.iter().all(|p| p.remaining == 0));
+        assert_eq!(report.quanta, 8 * 11);
+        assert!(
+            elapsed < Duration::from_millis(80),
+            "parked waits serialised: {elapsed:?} for 160 ms of waiting"
+        );
+    }
+
+    /// Raises the shared halt flag on its first quantum.
+    struct Killer<'a>(&'a AtomicBool);
+
+    enum HaltJob<'a> {
+        Kill(Killer<'a>),
+        Park(Parker<'a>),
+    }
+
+    impl WorkUnit for HaltJob<'_> {
+        fn run_quantum(&mut self) -> Quantum {
+            match self {
+                Self::Kill(k) => {
+                    k.0.store(true, Ordering::Relaxed);
+                    Quantum::Done
+                }
+                Self::Park(p) => p.run_quantum(),
+            }
+        }
+    }
+
+    #[test]
+    fn halted_pool_with_parked_jobs_exits() {
+        // Deques are taken LIFO, so the long-parking jobs run and park
+        // before the kill at index 0; each retires when its wait ends
+        // instead of running out its thousand ticks.
+        for workers in [1, 2] {
+            let halt = AtomicBool::new(false);
+            let mut jobs = vec![HaltJob::Kill(Killer(&halt))];
+            jobs.extend((0..6).map(|_| {
+                HaltJob::Park(Parker {
+                    remaining: 1_000,
+                    ticks: 0,
+                    pause: Duration::from_millis(5),
+                    alternate: false,
+                    halt: &halt,
+                })
+            }));
+            let (done, _) = run_to_completion(jobs, workers);
+            let ticks: Vec<u32> = done
+                .iter()
+                .filter_map(|job| match job {
+                    HaltJob::Park(p) => Some(p.ticks),
+                    HaltJob::Kill(_) => None,
+                })
+                .collect();
+            assert!(
+                ticks.iter().all(|&t| t < 1_000),
+                "ran past the halt: {ticks:?}"
+            );
+            assert!(
+                ticks.iter().any(|&t| t > 0),
+                "nothing was parked: {ticks:?}"
+            );
+        }
     }
 
     /// The steal/take race, hammered directly on one deque: an owner

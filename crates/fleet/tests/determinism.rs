@@ -29,8 +29,17 @@ fn population() -> Vec<SessionSpec> {
 /// Runs the population on `workers` threads and returns each session's
 /// decision digest by id.
 fn digests(workers: usize, quantum: usize) -> BTreeMap<u64, String> {
-    let mut fleet = Fleet::new(FleetConfig::new(workers).with_quantum_steps(quantum));
-    for spec in population() {
+    serve(
+        population(),
+        FleetConfig::new(workers).with_quantum_steps(quantum),
+    )
+}
+
+/// Serves `specs` on a fleet configured by `cfg` and returns each
+/// session's decision digest by id.
+fn serve(specs: Vec<SessionSpec>, cfg: FleetConfig) -> BTreeMap<u64, String> {
+    let mut fleet = Fleet::new(cfg);
+    for spec in specs {
         fleet
             .submit(spec)
             .expect("population fits the default budget");
@@ -73,4 +82,28 @@ fn digests_separate_sessions() {
         d.len(),
         "each seed must yield distinct decisions"
     );
+}
+
+/// Every session waits on its radio each window, so the fleet parks
+/// every window off its worker and resumes it when the wait is over.
+/// Parking reorders execution only: served solo or in cohorts, on 1 or
+/// 4 workers, every session decides byte-for-byte as with no wait.
+#[test]
+fn parked_radio_waits_keep_digests_solo_and_cohort() {
+    let baseline = digests(1, 8);
+    let stalled = || -> Vec<SessionSpec> {
+        population()
+            .into_iter()
+            .map(|s| s.with_io_stall_us(150))
+            .collect()
+    };
+    for workers in [1, 4] {
+        for cohort in [false, true] {
+            let parked = serve(stalled(), FleetConfig::new(workers).with_cohort(cohort));
+            assert_eq!(
+                parked, baseline,
+                "parked waits changed decisions on {workers} workers (cohort {cohort})"
+            );
+        }
+    }
 }
