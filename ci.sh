@@ -27,9 +27,6 @@ cargo fmt --all --check
 echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== benches compile =="
-cargo bench --workspace --no-run
-
 echo "== serving benchmark builds against the library (lockfile frozen) =="
 # perfbench is a package of its own with its own Cargo.lock. A library
 # API change that breaks it, or a dependency change that stales its

@@ -907,8 +907,7 @@ fn fleet_population(sessions: usize) -> Vec<SessionSpec> {
 /// `submit` is excluded; per-session window-0 warmup is included). The
 /// number is only meaningful when the calling binary installs
 /// [`scalo_alloc::CountingAllocator`] as its global allocator — the
-/// `experiments` bin and `benches/fleet.rs` both do — and reads 0.0
-/// otherwise.
+/// `experiments` bin does — and reads 0.0 otherwise.
 pub fn fleet_trial(sessions: usize, workers: usize, quantum: usize) -> (FleetReport, f64) {
     fleet_trial_with(sessions, workers, quantum, false)
 }
@@ -1528,7 +1527,6 @@ pub fn query() {
                 r.compile_us.to_string(),
                 r.resolve_us.to_string(),
                 r.cutover_us.to_string(),
-                r.replayed_windows.to_string(),
                 r.error.clone().unwrap_or_default(),
             ]
         })
@@ -1542,7 +1540,6 @@ pub fn query() {
             "compile us",
             "resolve us",
             "cutover us",
-            "replayed",
             "error",
         ],
         &rec_rows,
@@ -1565,8 +1562,8 @@ pub fn query() {
         .map(|r| {
             format!(
                 "{{\"id\":{},\"window\":{},\"ok\":{},\"compile_us\":{},\"resolve_us\":{},\
-                 \"cutover_us\":{},\"replayed_windows\":{}}}",
-                r.id, r.window, r.ok, r.compile_us, r.resolve_us, r.cutover_us, r.replayed_windows
+                 \"cutover_us\":{}}}",
+                r.id, r.window, r.ok, r.compile_us, r.resolve_us, r.cutover_us
             )
         })
         .collect::<Vec<_>>()
@@ -1917,13 +1914,13 @@ pub fn durability(sessions: usize) {
 /// Time-travel replay of windows `[from, to)` for deadline-miss
 /// forensics: serves the traced population durably, then — for each
 /// session — restores the latest logged checkpoint at or before `from`,
-/// re-executes just the requested range with span tracing on, verifies
-/// every re-executed window against the logged decision digest, and
-/// attributes the range's deadline misses by stage.
+/// replays up to `from` dark and the requested range with span tracing
+/// on, both through the recovery path's digest-checked
+/// [`scalo_fleet::durable::replay`], and attributes the range's
+/// deadline misses by stage.
 pub fn replay(from: usize, to: usize) {
-    use scalo_core::session::Session;
-    use scalo_core::snapshot::SessionSnapshot;
-    use scalo_storage::wal::{WalRecord, WalScan};
+    use scalo_fleet::durable::{fold_log, replay};
+    use scalo_storage::wal::WalScan;
     use scalo_trace::attribute_range;
 
     let (from, to) = (from.min(to), to.max(from + 1));
@@ -1948,66 +1945,28 @@ pub fn replay(from: usize, to: usize) {
         live.sessions.len()
     );
 
-    // Fold the log into per-session snapshots + decision digests.
     let scan = WalScan::open(&dir).expect("log scans clean after a clean shutdown");
-    let mut snapshots: std::collections::BTreeMap<u64, Vec<SessionSnapshot>> = Default::default();
-    let mut decisions: std::collections::BTreeMap<u64, std::collections::BTreeMap<u32, u64>> =
-        Default::default();
-    for rec in &scan.records {
-        match rec {
-            WalRecord::Admit { session, snapshot }
-            | WalRecord::Checkpoint { session, snapshot } => {
-                let snap = SessionSnapshot::decode(snapshot).expect("logged snapshot decodes");
-                snapshots.entry(*session).or_default().push(snap);
-            }
-            WalRecord::Decision {
-                session,
-                window,
-                digest,
-            } => {
-                decisions
-                    .entry(*session)
-                    .or_default()
-                    .insert(*window, *digest);
-            }
-            WalRecord::Shed { .. } | WalRecord::Done { .. } => {}
-        }
-    }
-
     let mut rows = Vec::new();
     let mut all_misses = 0usize;
-    for (&id, snaps) in &snapshots {
-        // Latest checkpoint at or before `from` (the admit snapshot at
-        // window 0 always qualifies).
-        let snap = snaps
-            .iter()
-            .filter(|s| s.window as usize <= from)
-            .max_by_key(|s| s.window)
-            .expect("admit snapshot bounds every range");
-        let mut session = Session::restore(snap).expect("logged checkpoint restores");
+    for (&id, log) in &fold_log(&scan) {
+        // The admit image at window 0 bounds every range.
+        let mut session = log
+            .restore(id, from as u64)
+            .expect("logged checkpoint restores");
+        let start = session.window();
         let to = to.min(session.windows_total());
-        let mut window = snap.window as usize;
-        while window < from && !session.is_done() {
-            session.step();
-            window += 1;
-        }
+        replay(&mut session, &log.decisions, from as u64)
+            .expect("fast-forward matches the logged decisions");
         // Only the range under forensics is traced; the fast-forward
         // stays dark so attribution sees exactly [from, to).
         session.set_trace_capacity(16_384);
-        let logged = &decisions[&id];
-        let mut verified = 0usize;
-        while window < to && !session.is_done() {
-            let out = session.step();
-            let digest = session.step_digest();
-            assert_eq!(
-                logged.get(&(out.window as u32)),
-                Some(&digest),
-                "session {id} window {} replayed a different decision",
-                out.window
-            );
-            verified += 1;
-            window += 1;
-        }
+        let verified = replay(&mut session, &log.decisions, to as u64)
+            .unwrap_or_else(|e| panic!("session {id} replayed a different decision: {e}"));
+        assert_eq!(
+            verified as usize,
+            to.saturating_sub(from),
+            "session {id}: the log must cover the range"
+        );
         let events = session.take_trace_events();
         let breakdowns = attribute_range(&events, from as u32, to as u32);
         let miss_report = deadline_miss_report(&breakdowns, TRACE_DEADLINE_US * 1_000);
@@ -2020,7 +1979,7 @@ pub fn replay(from: usize, to: usize) {
             .map_or("-".to_string(), |s| s.name().to_string());
         rows.push(vec![
             id.to_string(),
-            format!("{}..{}", snap.window, to),
+            format!("{start}..{to}"),
             verified.to_string(),
             miss_report.windows.to_string(),
             miss_report.misses.len().to_string(),

@@ -207,10 +207,9 @@ impl QueryBinding {
     }
 }
 
-/// Why a hot reconfiguration was refused. The live session is untouched
-/// on every variant — cutover is all-or-nothing by construction (the
-/// new configuration is built on a restored twin and only swapped in
-/// once the twin's replay digest-verified).
+/// Why a hot reconfiguration was refused. Both checks run before the
+/// session is touched, so on either variant the live session is exactly
+/// as it was: a refused cutover *is* the rollback.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReconfigureError {
     /// The new spec changes an identity field (id, seed, deployment,
@@ -227,8 +226,6 @@ pub enum ReconfigureError {
         /// What the live session digested to.
         actual: u64,
     },
-    /// The pre-cutover replay failed to reproduce the live session.
-    Restore(SnapshotError),
 }
 
 impl std::fmt::Display for ReconfigureError {
@@ -241,21 +238,11 @@ impl std::fmt::Display for ReconfigureError {
                 f,
                 "cutover digest mismatch: expected {expected:016x}, live session is {actual:016x}"
             ),
-            Self::Restore(e) => write!(f, "cutover replay failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ReconfigureError {}
-
-/// What a successful [`Session::reconfigure`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconfigureOutcome {
-    /// The window boundary the new binding took effect at.
-    pub window: u64,
-    /// Windows the digest-checking replay re-executed.
-    pub replayed_windows: u64,
-}
 
 /// What one [`Session::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,36 +416,34 @@ impl Session {
     }
 
     /// Hot-reconfigures the session to `new_spec` at the current window
-    /// boundary, with digest-checked cutover and rollback on mismatch.
+    /// boundary and returns that window.
     ///
     /// Identity fields (id, seed, deployment, duration, BER) are
     /// immutable — changing the application means changing the query
     /// binding (movement cadence, transport) and forward-only serving
     /// knobs (priority, deadline, stall, trace capacity).
     ///
-    /// Cutover builds the reconfigured session as a *twin*: snapshot
-    /// the live session, restore the twin through the full binding
-    /// timeline (which installs the live detectors, re-executes the
-    /// serving recording and digest-verifies the replay), apply the new
-    /// binding, and only then swap it in. The live session is untouched
-    /// on any error — a failed cutover *is* the rollback. The twin never
-    /// retrains; the replay makes cutover cost proportional to the
-    /// session's age, and the fleet reports that latency per
-    /// reconfiguration.
+    /// The cutover happens in place: the new binding is applied to the
+    /// live session and appended to its timeline, and the serving knobs
+    /// are copied. Nothing is rebuilt or re-executed, and the recorder
+    /// keeps every span served so far. A binding only steers windows
+    /// from its cutover on, so this is the session [`Self::restore`]
+    /// rebuilds from any later snapshot: it replays the same timeline
+    /// and applies the binding at the same window.
     ///
     /// `expected_step_digest` optionally pins the live session's
-    /// [`Self::step_digest`] at the boundary; a mismatch aborts before
-    /// any work (the forced-mismatch rollback path).
+    /// [`Self::step_digest`] at the boundary (the forced-mismatch
+    /// rollback path).
     ///
     /// # Errors
     ///
-    /// [`ReconfigureError`] — identity change, digest mismatch, or a
-    /// replay that failed to reproduce the live session.
+    /// [`ReconfigureError`] — an identity change or a digest mismatch,
+    /// both found before the session is touched.
     pub fn reconfigure(
         &mut self,
         new_spec: SessionSpec,
         expected_step_digest: Option<u64>,
-    ) -> Result<ReconfigureOutcome, ReconfigureError> {
+    ) -> Result<u64, ReconfigureError> {
         let identity: [(&'static str, bool); 6] = [
             ("id", new_spec.id == self.spec.id),
             ("seed", new_spec.seed == self.spec.seed),
@@ -478,25 +463,19 @@ impl Session {
                 return Err(ReconfigureError::Digest { expected, actual });
             }
         }
-        let snap = self.snapshot();
-        let mut twin = Self::restore(&snap).map_err(ReconfigureError::Restore)?;
-        let window = snap.window;
-        twin.apply_binding(&QueryBinding::of(&new_spec));
-        twin.reconfigures
-            .push((window, QueryBinding::of(&new_spec)));
+        let window = self.window();
+        let binding = QueryBinding::of(&new_spec);
+        self.apply_binding(&binding);
+        self.reconfigures.push((window, binding));
         // Forward-only serving knobs follow the new spec immediately;
         // none of them feed decisions.
-        twin.spec.priority = new_spec.priority;
-        twin.spec.step_deadline_us = new_spec.step_deadline_us;
-        twin.spec.io_stall_us = new_spec.io_stall_us;
-        if new_spec.trace_capacity != twin.spec.trace_capacity {
-            twin.set_trace_capacity(new_spec.trace_capacity);
+        self.spec.priority = new_spec.priority;
+        self.spec.step_deadline_us = new_spec.step_deadline_us;
+        self.spec.io_stall_us = new_spec.io_stall_us;
+        if new_spec.trace_capacity != self.spec.trace_capacity {
+            self.set_trace_capacity(new_spec.trace_capacity);
         }
-        *self = twin;
-        Ok(ReconfigureOutcome {
-            window,
-            replayed_windows: window,
-        })
+        Ok(window)
     }
 
     /// Total windows in this session's recording.
@@ -682,10 +661,9 @@ impl Session {
 
     /// Records an externally timed hot reconfiguration as a
     /// [`Stage::Reconfigure`] span stamped with the cutover window. The
-    /// serving layer calls this right after [`Self::reconfigure`] — the
-    /// snapshot/replay/swap being timed rebuilt this session (and with
-    /// it the recorder), so the duration comes from outside. No-op when
-    /// untraced.
+    /// serving layer calls this right after [`Self::reconfigure`]: the
+    /// cutover runs between windows, outside any `step`, so the
+    /// duration comes from outside. No-op when untraced.
     pub fn note_reconfigured(&mut self, dur_ns: u64) {
         let next = self.state.window() as u32;
         self.workspace.trace.set_window(next);
@@ -919,6 +897,10 @@ fn patient_app(spec: &SessionSpec) -> SeizureApp {
 mod tests {
     use super::*;
 
+    // Counts heap traffic so a test can bound what a cutover allocates.
+    #[global_allocator]
+    static ALLOC: scalo_alloc::CountingAllocator = scalo_alloc::CountingAllocator;
+
     /// The fleet moves sessions between worker threads, so the whole
     /// stack must be (and stay) `Send`.
     #[test]
@@ -1026,8 +1008,7 @@ mod tests {
             .with_query(crate::catalog::MOVEMENT_MIX)
             .unwrap();
         let expected = session.step_digest();
-        let outcome = session.reconfigure(new_spec, Some(expected)).unwrap();
-        assert_eq!(outcome.window, 40);
+        assert_eq!(session.reconfigure(new_spec, Some(expected)), Ok(40));
         assert_eq!(session.reconfigure_log().len(), 1);
         assert_eq!(session.spec().movement_every, 25);
         for _ in 0..40 {
@@ -1055,6 +1036,50 @@ mod tests {
         while !session.step().done {}
         let snap = session.snapshot();
         assert!(Session::restore(&snap).is_ok());
+
+        // The cutover is in place. On a traced 1.2 s 2×4 session at
+        // window 120 it allocates less than a tenth of the serving
+        // recording (a rebuild synthesizes a whole one), and the
+        // recorder keeps every span served before it.
+        let spec = |query| {
+            SessionSpec::new(23, 0x7c7)
+                .with_deployment(2, 4)
+                .with_duration_s(1.2)
+                .with_trace_capacity(1 << 16)
+                .with_query(query)
+                .unwrap()
+        };
+        let mut session = Session::new(spec(crate::catalog::SEIZURE_WATCH));
+        for _ in 0..120 {
+            session.step();
+        }
+        let served = session.trace().events();
+        let recording_bytes: usize = session
+            .recording()
+            .nodes
+            .iter()
+            .flat_map(|n| &n.channels)
+            .map(|c| std::mem::size_of_val(c.as_slice()))
+            .sum();
+        let new_spec = spec(crate::catalog::MOVEMENT_MIX);
+        let expected = session.step_digest();
+        let (window, heap) = scalo_alloc::measure(|| session.reconfigure(new_spec, Some(expected)));
+        assert_eq!(window, Ok(120));
+        assert!(heap.allocs > 0, "the timeline entry is counted: {heap:?}");
+        assert!(
+            heap.bytes < recording_bytes as u64 / 10,
+            "cutover allocated {heap:?}, serving recording is {recording_bytes} B"
+        );
+        assert_eq!(session.trace().dropped(), 0);
+        assert_eq!(
+            session.trace().events(),
+            served,
+            "the cutover must keep the spans served before it"
+        );
+        let snap = session.snapshot();
+        let restored = Session::restore(&snap).unwrap();
+        assert_eq!(restored.step_digest(), session.step_digest());
+        assert_eq!(restored.decision_digest(), session.decision_digest());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! or overflowing, and the spans an enabled recorder captures obey the
 //! balance and attribution invariants `scalo-trace` promises.
 
+use scalo_core::catalog;
 use scalo_core::cohort::Cohort;
 use scalo_core::session::{Session, SessionSpec};
 use scalo_fleet::{Fleet, FleetConfig};
@@ -92,6 +93,10 @@ fn served_session_spans_are_balanced_and_attributable() {
 /// wait's deadline and the resume is queueing, outside the envelope:
 /// exactly one `queue` span per parked window, so no wait is also
 /// booked as a run-queue gap.
+///
+/// Session 20 hot-reconfigures at window 40. The cutover happens in
+/// place, so its trace still attributes every window from 0, and it
+/// carries exactly one `reconfigure` span.
 #[test]
 fn parked_radio_wait_is_charged_like_a_served_one() {
     const STALL_US: u64 = 300;
@@ -103,10 +108,24 @@ fn parked_radio_wait_is_charged_like_a_served_one() {
             s.seed = 0xbeef + 5 * id;
             fleet.submit(s).expect("fits the default budget");
         }
+        fleet.schedule_reconfigure(20, 40, catalog::MOVEMENT_MIX, None);
         let report = fleet.run();
         assert_eq!(report.sessions.len(), 3);
+        assert_eq!(report.reconfigures.len(), 1);
+        assert!(report.reconfigures[0].ok, "{:?}", report.reconfigures[0]);
         for served in &report.sessions {
             let breakdowns = assert_attributable(&served.trace);
+            let cutovers = served
+                .trace
+                .iter()
+                .filter(|e| e.stage == Stage::Reconfigure)
+                .count();
+            assert_eq!(
+                cutovers,
+                usize::from(served.id == 20),
+                "session {}: reconfigure spans",
+                served.id
+            );
             assert_radio_wait_charged(served.id, &breakdowns, STALL_US);
             let envelopes_us: u64 = breakdowns.iter().map(|b| b.wall_ns / 1_000).sum();
             assert!(

@@ -10,11 +10,12 @@
 //! [`DurabilityConfig::checkpoint_every_windows`] windows, so recovery
 //! replays a bounded suffix instead of the whole session.
 //!
-//! Recovery ([`recover_sessions`]) scans the log, folds it into
-//! per-session state (latest checkpoint, decision suffix, shed/done
-//! markers), restores each live session via deterministic re-execution
-//! ([`Session::restore`]), then re-runs it to the log head asserting
-//! every replayed window's digest is byte-identical to the logged one.
+//! Recovery ([`recover_sessions`]) and time-travel forensics share one
+//! path: [`fold_log`] folds a scan into per-session histories (images,
+//! decision digests, shed/done markers), [`SessionLog::restore`]
+//! rebuilds a session from an image via deterministic re-execution
+//! ([`Session::restore`]), and [`replay`] re-runs it through the logged
+//! windows asserting every digest is byte-identical to the logged one.
 //! A mismatch is a hard error — recovery never resumes a session whose
 //! decisions drifted from the logged run.
 //!
@@ -366,32 +367,49 @@ impl FleetLogger {
     }
 }
 
-/// Per-session fold of the log, oldest record first.
-#[derive(Default)]
-struct Rebuild {
-    admit: Option<Vec<u8>>,
-    checkpoint: Option<Vec<u8>>,
-    decisions: Vec<(u32, u64)>,
-    shed: bool,
-    done: bool,
+/// One session's history in the log, in log order. The images borrow
+/// the scan's bytes; nothing is copied.
+#[derive(Debug, Default)]
+pub struct SessionLog<'a> {
+    /// Admit and checkpoint SCSS images, oldest first.
+    pub(crate) images: Vec<&'a [u8]>,
+    /// `(window, step digest)` decision records, in log order. A window
+    /// repeats when a crash cycle re-served it.
+    pub decisions: Vec<(u32, u64)>,
+    /// The session was shed.
+    pub(crate) shed: bool,
+    /// The session ran to completion.
+    pub(crate) done: bool,
 }
 
-/// Scans the log at `dir` and reconstructs every live session at the
-/// log head: restore at the latest checkpoint, then re-run the decision
-/// suffix asserting byte-identical digests window by window.
-pub fn recover_sessions(
-    dir: &std::path::Path,
-) -> Result<(Vec<Session>, RecoveryReport), DurabilityError> {
-    let t0 = Instant::now();
-    let scan = WalScan::open(dir)?;
-    let mut fold: BTreeMap<u64, Rebuild> = BTreeMap::new();
+impl SessionLog<'_> {
+    /// Restores session `id` from its latest image whose cursor is at or
+    /// before `window` ([`Session::restore`] digest-verifies it).
+    ///
+    /// # Errors
+    ///
+    /// [`DurabilityError::MissingSnapshot`] when no image qualifies;
+    /// [`DurabilityError::Snapshot`] when the chosen image does not
+    /// decode or restore.
+    pub fn restore(&self, id: u64, window: u64) -> Result<Session, DurabilityError> {
+        for image in self.images.iter().rev() {
+            let snap = SessionSnapshot::decode(image)?;
+            if snap.window <= window {
+                return Ok(Session::restore(&snap)?);
+            }
+        }
+        Err(DurabilityError::MissingSnapshot { session: id })
+    }
+}
+
+/// Folds a scanned log into per-session histories, by session id.
+pub fn fold_log(scan: &WalScan) -> BTreeMap<u64, SessionLog<'_>> {
+    let mut fold: BTreeMap<u64, SessionLog<'_>> = BTreeMap::new();
     for record in &scan.records {
         match record {
-            WalRecord::Admit { session, snapshot } => {
-                fold.entry(*session).or_default().admit = Some(snapshot.clone());
-            }
-            WalRecord::Checkpoint { session, snapshot } => {
-                fold.entry(*session).or_default().checkpoint = Some(snapshot.clone());
+            WalRecord::Admit { session, snapshot }
+            | WalRecord::Checkpoint { session, snapshot } => {
+                fold.entry(*session).or_default().images.push(snapshot);
             }
             WalRecord::Decision {
                 session,
@@ -407,60 +425,79 @@ pub fn recover_sessions(
             WalRecord::Done { session, .. } => fold.entry(*session).or_default().done = true,
         }
     }
+    fold
+}
 
+/// Re-executes `session` through its logged `decisions` below window
+/// `to`, checking each window's digest against the log, and returns the
+/// windows replayed.
+///
+/// Each window is charged its modeled radio wait
+/// ([`scalo_core::session::SessionSpec::io_stall_us`]) without waiting,
+/// so replay runs at compute speed and a traced replay still attributes
+/// the wait. Windows below the session's cursor are duplicates from
+/// earlier crash cycles (each run re-logs from its restore point);
+/// determinism makes them redundant, so they are skipped. A window
+/// above the cursor is a gap in the log.
+///
+/// # Errors
+///
+/// [`DurabilityError::Replay`] on a gap, on a window past the
+/// session's end, or on a digest that differs from the logged one.
+pub fn replay(
+    session: &mut Session,
+    decisions: &[(u32, u64)],
+    to: u64,
+) -> Result<u64, DurabilityError> {
+    let (id, stall_ns) = (session.id(), session.spec().io_stall_us * 1_000);
+    let mut replayed = 0;
+    for &(window, logged) in decisions {
+        let window = u64::from(window);
+        if window < session.window() || window >= to {
+            continue;
+        }
+        let diverged = |replayed| DurabilityError::Replay {
+            session: id,
+            window,
+            logged,
+            replayed,
+        };
+        if window > session.window() || session.is_done() {
+            return Err(diverged(0));
+        }
+        session.step_after(stall_ns);
+        let digest = session.step_digest();
+        if digest != logged {
+            return Err(diverged(digest));
+        }
+        replayed += 1;
+    }
+    Ok(replayed)
+}
+
+/// Scans the log at `dir` and reconstructs every live session at the
+/// log head: [`SessionLog::restore`] at the latest checkpoint, then
+/// [`replay`] of the decision suffix.
+pub fn recover_sessions(
+    dir: &std::path::Path,
+) -> Result<(Vec<Session>, RecoveryReport), DurabilityError> {
+    let t0 = Instant::now();
+    let scan = WalScan::open(dir)?;
     let mut sessions = Vec::new();
     let mut windows_replayed = 0u64;
     let mut sessions_done = 0usize;
     let mut sessions_shed = 0usize;
-    for (&id, state) in &fold {
-        if state.shed {
+    for (&id, log) in &fold_log(&scan) {
+        if log.shed {
             sessions_shed += 1;
             continue;
         }
-        if state.done {
+        if log.done {
             sessions_done += 1;
             continue;
         }
-        let image = state
-            .checkpoint
-            .as_deref()
-            .or(state.admit.as_deref())
-            .ok_or(DurabilityError::MissingSnapshot { session: id })?;
-        let snap = SessionSnapshot::decode(image)?;
-        let mut session = Session::restore(&snap)?;
-        // Re-run the decision suffix past the checkpoint, verifying
-        // each window's digest against the logged record. Windows below
-        // the cursor are duplicates from earlier crash cycles (each run
-        // re-logs from its restore point) — determinism makes them
-        // redundant, so they are skipped; a window *above* the cursor
-        // would be a gap in the log and is rejected.
-        let mut next = snap.window;
-        for &(window, logged) in &state.decisions {
-            let window = u64::from(window);
-            if window < next {
-                continue;
-            }
-            if window > next || session.is_done() {
-                return Err(DurabilityError::Replay {
-                    session: id,
-                    window,
-                    logged,
-                    replayed: 0,
-                });
-            }
-            let out = session.step();
-            let replayed = session.step_digest();
-            if out.window as u64 != window || replayed != logged {
-                return Err(DurabilityError::Replay {
-                    session: id,
-                    window,
-                    logged,
-                    replayed,
-                });
-            }
-            windows_replayed += 1;
-            next = window + 1;
-        }
+        let mut session = log.restore(id, u64::MAX)?;
+        windows_replayed += replay(&mut session, &log.decisions, u64::MAX)?;
         sessions.push(session);
     }
 

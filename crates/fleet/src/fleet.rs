@@ -207,10 +207,9 @@ pub struct ReconfigureRecord {
     pub compile_us: u64,
     /// Seizure-ILP re-solve latency, µs.
     pub resolve_us: u64,
-    /// Snapshot → digest-verified replay → swap latency, µs.
+    /// In-place cutover latency (identity and digest checks, binding
+    /// applied), µs.
     pub cutover_us: u64,
-    /// Windows the digest-checking replay re-executed.
-    pub replayed_windows: u64,
 }
 
 /// Where a submitted session ended up.
@@ -348,7 +347,7 @@ impl FleetReport {
         for (i, r) in self.reconfigures.iter().enumerate() {
             let _ = write!(
                 out,
-                "{}{{\"id\":{},\"window\":{},\"ok\":{},\"error\":{},\"compile_us\":{},\"resolve_us\":{},\"cutover_us\":{},\"replayed_windows\":{}}}",
+                "{}{{\"id\":{},\"window\":{},\"ok\":{},\"error\":{},\"compile_us\":{},\"resolve_us\":{},\"cutover_us\":{}}}",
                 if i > 0 { "," } else { "" },
                 r.id,
                 r.window,
@@ -357,7 +356,6 @@ impl FleetReport {
                 r.compile_us,
                 r.resolve_us,
                 r.cutover_us,
-                r.replayed_windows,
             );
         }
         let _ = write!(
@@ -510,8 +508,8 @@ struct GroupJob {
     outcomes: Vec<StepOutcome>,
     /// The member whose restore failed closed.
     failed: Option<u64>,
-    /// Pending hot reconfiguration (groups of one only: a cutover's
-    /// replay would desync a lockstep cursor).
+    /// Pending hot reconfiguration (groups of one only: the new binding
+    /// changes the session's cohort key mid-run).
     reconfigure: Option<ReconfigureRequest>,
     reconfigure_record: Option<ReconfigureRecord>,
     /// The radio wait the group is parked on: when it began and its
@@ -634,9 +632,8 @@ impl GroupJob {
             result
         });
         match outcome {
-            Ok(out) => {
+            Ok(_) => {
                 record.ok = true;
-                record.replayed_windows = out.replayed_windows;
                 // Checkpoint right at the cutover so durable recovery
                 // replays the decision suffix from a snapshot that
                 // already carries the new binding epoch.
@@ -1560,8 +1557,9 @@ mod tests {
     fn cohort_mode_ejects_pending_reconfigures_to_solo() {
         use scalo_core::catalog;
 
-        // Session 1 has a scheduled cutover: it must run solo (lockstep
-        // replay would desync a cohort) while its three shape-twins fuse
+        // Session 1 has a scheduled cutover: it must run solo (its new
+        // binding changes its cohort key mid-run) while its three
+        // shape-twins fuse
         // — and the cutover must still commit with digests matching a
         // solo fleet running the same schedule.
         let run = |cohort: bool| {
@@ -1659,7 +1657,6 @@ mod tests {
         assert_eq!(rec.id, 4);
         assert!(rec.ok, "cutover failed: {:?}", rec.error);
         assert_eq!(rec.window, 20);
-        assert_eq!(rec.replayed_windows, 20);
         assert!(report.metrics_json.contains("fleet.reconfigure_total"));
         assert!(report.metrics_json.contains("fleet.reconfigure_cutover_us"));
         assert!(report.to_json().contains("\"reconfigures\""));

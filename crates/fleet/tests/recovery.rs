@@ -216,6 +216,48 @@ fn reconfigured_session_recovers_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery replays at compute speed: each replayed window is charged
+/// its modeled radio wait but does not wait for it. A 2×2 session with
+/// a 2 ms wait is killed at window 248, over 100 logged windows past
+/// its checkpoint at window 128. Sleeping through the replay would cost
+/// twice the bound below; restoring and replaying cost a fraction of
+/// it.
+#[test]
+fn recovery_charges_radio_waits_without_sleeping() {
+    const STALL_US: u64 = 2_000;
+    let spec = SessionSpec::new(3, 0x51ee)
+        .with_deployment(2, 2)
+        .with_duration_s(1.0)
+        .with_io_stall_us(STALL_US);
+    let mut plain = Fleet::new(FleetConfig::new(1));
+    plain.submit(spec.clone()).unwrap();
+    let baseline = digests(&plain.run());
+
+    let dir = wal_dir("nosleep");
+    let dcfg = durability_config(&dir).with_checkpoint_every_windows(128);
+    let mut fleet =
+        Fleet::open_durable(FleetConfig::new(1).with_halt_after_windows(248), &dcfg).unwrap();
+    fleet.submit(spec).unwrap();
+    fleet.run();
+
+    let (fleet, rec) = Fleet::recover(FleetConfig::new(1), &dcfg).unwrap();
+    assert_eq!(rec.sessions_recovered, 1, "{rec:?}");
+    assert!((100..=120).contains(&rec.windows_replayed), "{rec:?}");
+    let bound_ms = rec.windows_replayed as f64 * STALL_US as f64 / 1_000.0 / 2.0;
+    assert!(
+        rec.recovery_ms < bound_ms,
+        "recovery took {} ms for {} replayed windows (bound {bound_ms} ms)",
+        rec.recovery_ms,
+        rec.windows_replayed
+    );
+    assert_eq!(
+        digests(&fleet.run()),
+        baseline,
+        "recovered decisions diverged from the uninterrupted run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Quiet windows stay zero-alloc with logging enabled: for every
 /// window, (step + digest + decision append) performs exactly as many
 /// heap operations as the same window on an unlogged twin session —

@@ -11,7 +11,7 @@
 //! byte-for-byte the PR 3 reference.
 
 use crate::stage::Stage;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Deepest allowed `begin` nesting. The instrumented pipeline nests at
 /// most three deep (window → exchange → leaf); deeper `begin`s are
@@ -224,12 +224,24 @@ impl Recorder {
     /// engine ran once for several sessions — as back-to-back spans in
     /// order, the last one ending now. Zero-length charges record
     /// nothing. Returns the first span's begin tick.
+    ///
+    /// Charges reaching back past the epoch move the epoch back rather
+    /// than being cut short: a replay charges each window a radio wait
+    /// it never served, faster than real time, and every window must
+    /// still attribute its whole charge.
     pub fn record_charged(&mut self, charges: &[(Stage, u64)]) -> u64 {
         if !self.enabled {
             return 0;
         }
-        let now = self.now_ns();
         let total: u64 = charges.iter().map(|&(_, ns)| ns).sum();
+        let mut now = self.now_ns();
+        if let Some(epoch) = total
+            .checked_sub(now)
+            .and_then(|short| self.epoch.checked_sub(Duration::from_nanos(short)))
+        {
+            self.epoch = epoch;
+            now = total;
+        }
         let start = now.saturating_sub(total);
         let mut cursor = start;
         for &(stage, ns) in charges {
@@ -439,6 +451,24 @@ mod tests {
         let mut off = Recorder::disabled();
         off.record_external(Stage::SwapOut, 100);
         assert!(off.is_empty());
+    }
+
+    #[test]
+    fn charges_older_than_the_recorder_are_kept_whole() {
+        // A replay at compute speed charges each window a wait that
+        // never elapsed: neither window may lose any of it.
+        let mut rec = Recorder::with_capacity(16, 4);
+        for window in 0..2 {
+            rec.set_window(window);
+            rec.begin_charged(Stage::Window, &[(Stage::RadioWait, 400_000_000)]);
+            rec.end(Stage::Window);
+        }
+        let breakdowns = crate::report::attribute(&rec.events());
+        assert_eq!(breakdowns.len(), 2);
+        for b in &breakdowns {
+            assert_eq!(b.stage_ns(Stage::RadioWait), 400_000_000);
+            assert_eq!(b.total_ns(), b.wall_ns);
+        }
     }
 
     #[test]

@@ -64,9 +64,9 @@ pub enum Stage {
     /// Evicting a quiet session: SCSS encode plus NVM image program
     /// through SC.
     SwapOut,
-    /// Hot query reconfiguration: re-compile, ILP re-solve, and
-    /// digest-checked cutover at a window boundary (control plane — no
-    /// fabric PE runs).
+    /// Hot query reconfiguration: the in-place cutover at a window
+    /// boundary (control plane — no fabric PE runs; the compile and ILP
+    /// re-solve before it are timed apart).
     Reconfigure,
     /// Envelope time not claimed by any leaf span (attribution only).
     Other,
