@@ -132,11 +132,12 @@ test -n "$peak" && test "$peak" -le 512 \
 echo "swap smoke: $admitted admitted, resident peak $peak (budget 512)"
 
 echo "== swap smoke pin (fleet digest and swap traffic) =="
-# Every fault-in restores from its image: the image's detectors are
-# installed and the serving recording is re-executed to the cursor. The
-# run is a function of its seeds, so its fleet digest and its swap-in
-# and swap-out counts are fixed; a drift in any of them means the
-# restore path or the swap policy changed behaviour.
+# Every fault-in restores from its state image: the session state and
+# detectors are installed and only the serving windows from the cursor
+# on are synthesized; no window is re-executed. The run is a function
+# of its seeds, so its fleet digest and its swap-in and swap-out counts
+# are fixed; a drift in any of them means the restore path or the swap
+# policy changed behaviour.
 swap_digest=$(sed -n 's/.*"swap":{.*"digest_fnv":"\([0-9a-f]*\)".*/\1/p' BENCH_fleet.json)
 swap_ins=$(sed -n 's/.*"swap":{.*"swap_ins":\([0-9]*\).*/\1/p' BENCH_fleet.json)
 swap_outs=$(sed -n 's/.*"swap":{.*"swap_outs":\([0-9]*\).*/\1/p' BENCH_fleet.json)
@@ -145,9 +146,10 @@ test "$swap_digest" = "a2bb3c9a58bafdb3" && test "$swap_ins" = "267" && test "$s
 echo "swap smoke pinned: digest $swap_digest, $swap_ins swap-ins, $swap_outs swap-outs"
 
 echo "== swap-fault latency regression guard =="
-# Fault-in = modeled NVM read + SCSS decode + deterministic restore
-# replay; the current model books p99 well under 50 ms. Flag anything
-# past 200 ms — that means the restore path or the image tier regressed.
+# Fault-in = modeled NVM read + SCSS decode + state restore (synthesis
+# of the windows from the cursor on + digest verify); the current model
+# books p99 well under 50 ms. Flag anything past 200 ms — that means
+# the restore path or the image tier regressed.
 p99=$(sed -n 's/.*"swap_in_us":{"count":[0-9]*,"p50_us":[0-9]*,"p99_us":\([0-9]*\).*/\1/p' BENCH_fleet.json)
 test -n "$p99" || { echo "no swap_in_us histogram in BENCH_fleet.json" >&2; exit 1; }
 awk -v p="$p99" 'BEGIN {

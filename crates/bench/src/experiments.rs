@@ -16,7 +16,7 @@ use scalo_data::ieeg::{generate as gen_ieeg, IeegConfig, SeizureEvent};
 use scalo_data::spikes::{generate as gen_spikes, SpikeConfig};
 use scalo_fleet::{
     AdmissionEvent, AdmitError, ArrivalConfig, ArrivalPlan, DurabilityConfig, Fleet, FleetConfig,
-    FleetReport, SwapConfig, SwapFleet, SwapReport,
+    FleetReport, RecoveryReport, SwapConfig, SwapFleet, SwapReport,
 };
 use scalo_lsh::eval::{
     calibrated_threshold, generate_pairs, hash_error_histogram, total_error_rate,
@@ -1236,11 +1236,20 @@ fn swap_trial(specs: &[SessionSpec], cfg: SwapConfig, plan: &ArrivalPlan) -> Swa
 }
 
 /// Merges `report` into `BENCH_fleet.json` as the top-level `"swap"`
-/// section, preserving whatever the `fleet` experiment wrote (and
-/// replacing any previous swap section). Returns the path written.
-pub fn write_bench_swap_json(report: &SwapReport) -> std::io::Result<&'static str> {
+/// section, with `fleet_shape` (the fleet-shaped trial's object) nested
+/// in it as `"fleet_shape"`, preserving whatever the `fleet` experiment
+/// wrote (and replacing any previous swap section). Returns the path
+/// written.
+pub fn write_bench_swap_json(
+    report: &SwapReport,
+    fleet_shape: &str,
+) -> std::io::Result<&'static str> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    let swap_json = report.to_json();
+    let report_json = report.to_json();
+    let swap_json = format!(
+        "{},\"fleet_shape\":{fleet_shape}}}",
+        report_json.strip_suffix('}').expect("a JSON object")
+    );
     let base = std::fs::read_to_string(path)
         .ok()
         .map(|s| s.trim_end().to_string())
@@ -1371,10 +1380,157 @@ pub fn swap(sessions: usize) {
          fleet digest {:016x}",
         report.digest_fnv
     );
-    match write_bench_swap_json(&report) {
+    let fleet_shape = swap_fleet_shape();
+    match write_bench_swap_json(&report, &fleet_shape) {
         Ok(path) => println!("wrote {path} (\"swap\" section)"),
         Err(e) => eprintln!("could not write BENCH_fleet.json: {e}"),
     }
+}
+
+/// Sessions in the fleet-shaped swap trial.
+const SHAPE_SESSIONS: u64 = 256;
+
+/// Resident slots of the fleet-shaped swap trial.
+const SHAPE_RESIDENT: usize = 32;
+
+/// Workers of the fleet-shaped swap trial: a fault-in's latency is wall
+/// time, so more workers than the 2-vCPU reference host has cores would
+/// charge it their time slices.
+const SHAPE_WORKERS: usize = 2;
+
+/// The seizure response deadline a fault-in is held against, µs.
+const SEIZURE_DEADLINE_US: u64 = 10_000;
+
+/// The fleet-shaped swap trial: [`SHAPE_SESSIONS`] sessions of the shape
+/// the fleet serves (2 implants × 4 electrodes, 0.9 s, the fleet
+/// population's app mix) over [`SHAPE_RESIDENT`] resident slots, from a
+/// fixed bursty plan. The 1×1, 0.2 s sessions of the 10k smoke make
+/// fault-ins look cheaper than they are at this shape. Prints fault-in
+/// latency (modeled NVM read + decode + restore) against the 10 ms
+/// seizure deadline and the image size in bytes and 4 KB pages; returns
+/// the `"fleet_shape"` JSON object of the swap section. Its keys avoid
+/// the swap section's own (`swap_ins`, `digest_fnv`, ...).
+fn swap_fleet_shape() -> String {
+    let specs: Vec<SessionSpec> = fleet_population(SHAPE_SESSIONS as usize)
+        .into_iter()
+        .map(|s| {
+            s.with_deployment(2, 4)
+                .with_duration_s(0.9)
+                .with_io_stall_us(0)
+        })
+        .collect();
+    let plan = ArrivalPlan::generate(&ArrivalConfig {
+        horizon_us: 900_000,
+        mean_gap_us: 150_000,
+        burst_windows: 6,
+        ..ArrivalConfig::new(SHAPE_SESSIONS, 0x2b4)
+    });
+    let report = swap_trial(
+        &specs,
+        SwapConfig::new(SHAPE_WORKERS, SHAPE_RESIDENT),
+        &plan,
+    );
+    let twin = report
+        .sessions
+        .iter()
+        .max_by_key(|s| (s.swap_ins, std::cmp::Reverse(s.id)))
+        .filter(|s| s.swap_ins > 0)
+        .expect("the trial faults sessions in");
+    let mut session = scalo_core::session::Session::new(specs[twin.id as usize].clone());
+    for _ in 0..twin.windows {
+        session.step();
+    }
+    assert_eq!(
+        twin.decisions_fnv,
+        scalo_core::snapshot::fnv1a(session.decision_digest().as_bytes()),
+        "fleet-shaped session {} diverged from its never-swapped twin",
+        twin.id
+    );
+    // Exact fault-in cost off the pool: decode + restore of images taken
+    // at eight evenly spread cursors of eight sessions, one at a time.
+    // The image at half (past detection, a full collision horizon) gives
+    // the size.
+    let (mut fault_in_us, mut image_bytes) = (Vec::new(), 0);
+    for spec in specs.iter().take(8) {
+        let mut session = scalo_core::session::Session::new(spec.clone());
+        let end = session.windows_total() as u64;
+        for k in 0..8 {
+            while session.window() < k * end / 8 {
+                session.step();
+            }
+            let image = session.snapshot().encode();
+            if k == 4 {
+                image_bytes = image_bytes.max(image.len());
+            }
+            let t0 = std::time::Instant::now();
+            let snap = scalo_core::snapshot::SessionSnapshot::decode(&image).expect("valid image");
+            let restored = scalo_core::session::Session::restore(&snap).expect("restores");
+            fault_in_us.push(t0.elapsed().as_micros() as u64);
+            assert_eq!(restored.step_digest(), session.step_digest());
+        }
+    }
+    fault_in_us.sort_unstable();
+    let exact = |q: f64| fault_in_us[((fault_in_us.len() - 1) as f64 * q).round() as usize];
+    let (p50, p99) = (exact(0.5), exact(0.99));
+    let image_pages = image_bytes.div_ceil(scalo_storage::PAGE_BYTES);
+    let q = &report.swap_in_us;
+    println!(
+        "\n-- fleet-shaped trial: {SHAPE_SESSIONS} sessions of 2×4 electrodes, 0.9 s, \
+         over {SHAPE_RESIDENT} slots, {SHAPE_WORKERS} workers --"
+    );
+    table(
+        &["metric", "value"],
+        &[
+            vec!["windows served".into(), report.windows.to_string()],
+            vec![
+                "cold builds / evictions / fault-ins".into(),
+                format!(
+                    "{}/{}/{}",
+                    report.cold_builds, report.swap_outs, report.swap_ins
+                ),
+            ],
+            vec![
+                "in the fleet: fault-in p50 / p99 / max, µs".into(),
+                format!("≤{} / ≤{} / {}", q.p50_us, q.p99_us, q.max_us),
+            ],
+            vec![
+                "decode + restore p50 / p99, µs".into(),
+                format!("{p50} / {p99}"),
+            ],
+            vec![
+                "p99 within the 10 ms deadline".into(),
+                (p99 <= SEIZURE_DEADLINE_US).to_string(),
+            ],
+            vec![
+                "image at half, bytes / 4 KB pages".into(),
+                format!("{image_bytes} / {image_pages}"),
+            ],
+            vec!["fleet digest".into(), format!("{:016x}", report.digest_fnv)],
+        ],
+    );
+    println!(
+        "(in the fleet, p50/p99 are the latency histogram's bucket upper bounds and the \
+         max is exact, NVM read and worker contention included; decode + restore is timed \
+         exactly off the pool at cursors k/8 of 8 sessions; session {} matched its \
+         never-swapped twin)",
+        twin.id
+    );
+    format!(
+        "{{\"sessions\":{SHAPE_SESSIONS},\"nodes\":2,\"electrodes\":4,\"duration_s\":0.9,\
+         \"resident_budget\":{SHAPE_RESIDENT},\"windows\":{},\"cold_builds\":{},\
+         \"evictions\":{},\"fault_ins\":{},\"fault_in_p50_us\":{},\"fault_in_p99_us\":{},\
+         \"fault_in_max_us\":{},\"restore_p50_us\":{p50},\"restore_p99_us\":{p99},\
+         \"deadline_us\":{SEIZURE_DEADLINE_US},\
+         \"image_bytes\":{image_bytes},\"image_pages\":{image_pages},\"fleet_digest\":\"{:016x}\"}}",
+        report.windows,
+        report.cold_builds,
+        report.swap_outs,
+        report.swap_ins,
+        q.p50_us,
+        q.p99_us,
+        q.max_us,
+        report.digest_fnv,
+    )
 }
 
 /// Merges `query_json` into `BENCH_fleet.json` as the top-level
@@ -1821,44 +1977,21 @@ pub fn durability(sessions: usize) {
         rng.gen_range(total_windows * 3 / 10..total_windows * 6 / 10),
         rng.gen_range(total_windows * 3 / 10..total_windows * 6 / 10),
     ];
-    let dcfg = DurabilityConfig::new(wal_dir("durability-crash"));
-    let mut fleet = Fleet::open_durable(
-        FleetConfig::new(2)
-            .with_budget(16.0 * sessions as f64)
-            .with_halt_after_windows(kills[0]),
-        &dcfg,
-    )
-    .expect("WAL dir is writable");
-    for spec in fleet_population(sessions) {
-        fleet.submit(spec).expect("population fits the budget");
-    }
-    let mut merged: std::collections::BTreeMap<u64, String> = std::collections::BTreeMap::new();
-    let mut absorb = |r: &FleetReport| {
-        for s in &r.sessions {
-            merged.insert(s.id, s.digest.clone());
-        }
-    };
-    absorb(&fleet.run());
-
-    let mut recovery_rows = Vec::new();
-    let mut recoveries = Vec::new();
-    for (i, halt) in [Some(kills[1]), None].into_iter().enumerate() {
-        let mut cfg = FleetConfig::new(2).with_budget(16.0 * sessions as f64);
-        if let Some(h) = halt {
-            cfg = cfg.with_halt_after_windows(h);
-        }
-        let (fleet, rec) = Fleet::recover(cfg, &dcfg).expect("recovery succeeds");
-        recovery_rows.push(vec![
-            format!("recovery {}", i + 1),
-            rec.sessions_recovered.to_string(),
-            rec.windows_replayed.to_string(),
-            rec.log_records.to_string(),
-            rec.torn_bytes.to_string(),
-            f(rec.recovery_ms, 2),
-        ]);
-        recoveries.push(rec);
-        absorb(&fleet.run());
-    }
+    let (merged, recoveries) = kill_cycles(sessions, kills, "durability-crash");
+    let recovery_rows: Vec<Vec<String>> = recoveries
+        .iter()
+        .enumerate()
+        .map(|(i, rec)| {
+            vec![
+                format!("recovery {}", i + 1),
+                rec.sessions_recovered.to_string(),
+                rec.windows_replayed.to_string(),
+                rec.log_records.to_string(),
+                rec.torn_bytes.to_string(),
+                f(rec.recovery_ms, 2),
+            ]
+        })
+        .collect();
     table(
         &["", "sessions", "replayed", "log recs", "torn B", "ms"],
         &recovery_rows,
@@ -1909,6 +2042,50 @@ pub fn durability(sessions: usize) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write BENCH_durability.json: {e}"),
     }
+}
+
+/// The crash schedule of [`durability`] for `sessions` patients: a
+/// durable fleet killed after `kills[0]` windows, recovered and killed
+/// again after `kills[1]`, then recovered and run to the end, its log
+/// under `target/scalo-wal/<tag>`. Returns every session's final digest
+/// and the two recovery reports. The kill cycles run as perfbench's
+/// `crash_recover` does: on one worker and without the modeled radio
+/// wait. With two workers, which windows a kill interrupts races the
+/// workers' quanta; with parked waits, it races the wall clock that
+/// wakes them. Either would make what recovery replays vary run to run.
+/// Decisions never read the wait, so the digests are the population's.
+fn kill_cycles(
+    sessions: usize,
+    kills: [u64; 2],
+    tag: &str,
+) -> (std::collections::BTreeMap<u64, String>, Vec<RecoveryReport>) {
+    let cfg = || FleetConfig::new(1).with_budget(16.0 * sessions as f64);
+    let dcfg = DurabilityConfig::new(wal_dir(tag));
+    let mut fleet = Fleet::open_durable(cfg().with_halt_after_windows(kills[0]), &dcfg)
+        .expect("WAL dir is writable");
+    for spec in fleet_population(sessions) {
+        fleet
+            .submit(spec.with_io_stall_us(0))
+            .expect("population fits the budget");
+    }
+    let mut merged = std::collections::BTreeMap::new();
+    let mut absorb = |r: &FleetReport| {
+        for s in &r.sessions {
+            merged.insert(s.id, s.digest.clone());
+        }
+    };
+    absorb(&fleet.run());
+    let mut recoveries = Vec::new();
+    for halt in [Some(kills[1]), None] {
+        let cfg = match halt {
+            Some(h) => cfg().with_halt_after_windows(h),
+            None => cfg(),
+        };
+        let (fleet, rec) = Fleet::recover(cfg, &dcfg).expect("recovery succeeds");
+        recoveries.push(rec);
+        absorb(&fleet.run());
+    }
+    (merged, recoveries)
 }
 
 /// Time-travel replay of windows `[from, to)` for deadline-miss
@@ -2356,6 +2533,24 @@ fn two_site_recording(seed: u64) -> scalo_data::ieeg::MultiSiteRecording {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The durability experiment's kill cycles are reproducible: two
+    /// runs of one schedule recover the same sessions, replay the same
+    /// windows and scan the same log records, cycle by cycle.
+    #[test]
+    fn kill_cycles_repeat_run_to_run() {
+        let kills = [300, 250];
+        let (digests_a, a) = kill_cycles(6, kills, "kill-cycles-a");
+        let (digests_b, b) = kill_cycles(6, kills, "kill-cycles-b");
+        assert_eq!(digests_a, digests_b);
+        let counts = |r: &[RecoveryReport]| {
+            r.iter()
+                .map(|r| (r.sessions_recovered, r.windows_replayed, r.log_records))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&a), counts(&b));
+        assert!(a.iter().any(|r| r.windows_replayed > 0), "{a:?}");
+    }
 
     #[test]
     fn quick_experiments_run() {

@@ -19,6 +19,8 @@
 use crate::cohort::MemberLanes;
 use crate::config::ScaloConfig;
 use crate::node::Node;
+use crate::snapshot::SnapshotError;
+use crate::state::{clock_windows, SessionState};
 use crate::stim::{StimCommand, StimEngine};
 use crate::system::{ArrivalWs, Scalo};
 use crate::workspace::Workspace;
@@ -56,6 +58,39 @@ pub fn training_windows(config: &IeegConfig) -> Vec<MultiSiteRecording> {
         .take_while(|t| t + WINDOW <= samples)
         .map(|t| generate_range(config, t, t + WINDOW))
         .collect()
+}
+
+/// A serving recording from sample `from` on: the samples a session
+/// still holds. Window `t0` of the full recording is at `t0 - from`; a
+/// cold-built session holds it all (`from` = 0), a restored one only
+/// from its cursor on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordingView<'a> {
+    recording: &'a MultiSiteRecording,
+    from: usize,
+}
+
+impl<'a> RecordingView<'a> {
+    /// `recording` holding samples `from..` of the recording its config
+    /// describes (as [`generate_range`] returns them).
+    pub(crate) fn new(recording: &'a MultiSiteRecording, from: usize) -> Self {
+        Self { recording, from }
+    }
+
+    /// The `WINDOW` samples of `node`'s electrode `e` starting at sample
+    /// `t0` of the full recording.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window starts before `from` or runs past the end.
+    pub(crate) fn window(&self, node: usize, e: usize, t0: usize) -> &'a [f64] {
+        &self.recording.nodes[node].channels[e][t0 - self.from..t0 - self.from + WINDOW]
+    }
+
+    /// The first sample held.
+    pub(crate) fn from(&self) -> usize {
+        self.from
+    }
 }
 
 /// One node's confirmation of seizure propagation.
@@ -113,6 +148,12 @@ pub struct RunState {
     windows_total: usize,
     /// Electrodes per node in the recording.
     electrodes: usize,
+    /// Ingest time of recent windows, `(window, µs)` at slot `window %
+    /// len`, spanning the collision horizon ([`clock_windows`]): what
+    /// places a hash record's timestamp on its window, for a state image
+    /// and for re-deriving a signal window it did not carry. Not part of
+    /// any digest.
+    clock: Vec<(usize, u64)>,
 }
 
 impl RunState {
@@ -129,6 +170,30 @@ impl RunState {
     /// Whether every window has been processed.
     pub fn is_done(&self) -> bool {
         self.window >= self.windows_total
+    }
+
+    /// The ingest times of the windows `[window - n, window)` stamped at
+    /// or after `cutoff_us`, oldest first: the longest such run the
+    /// clock holds.
+    fn clock_since(&self, cutoff_us: u64) -> Vec<u64> {
+        let len = self.clock.len();
+        let mut times: Vec<u64> = (1..=self.window.min(len))
+            .map(|back| self.window - back)
+            .map_while(|w| {
+                let (at, t) = self.clock[w % len];
+                (at == w && t >= cutoff_us).then_some(t)
+            })
+            .collect();
+        times.reverse();
+        times
+    }
+
+    /// The window ingested at `timestamp_us`, if the clock still holds it.
+    fn window_at(&self, timestamp_us: u64) -> Option<usize> {
+        self.clock
+            .iter()
+            .find(|&&(w, t)| t == timestamp_us && w < self.window)
+            .map(|&(w, _)| w)
     }
 
     /// Folds every protocol decision in the state into `h`, for the
@@ -270,6 +335,108 @@ impl SeizureApp {
             .collect()
     }
 
+    /// Node NVM and CCHECK ring depth, in windows: double the collision
+    /// horizon (plus slack), so ring evictions stay strictly older than
+    /// any window still reachable by matching or `stored_window`.
+    fn windows_back(&self) -> usize {
+        2 * ((self.system.config().ccheck_horizon_us / WINDOW_US) as usize + 2)
+    }
+
+    /// The state image of a run at `st`'s cursor ([`SessionState`]):
+    /// run state, system state, stimulation engines, and the window
+    /// clock over the collision horizon. The application RNG's position
+    /// is [`Self::rng_word_pos`].
+    pub(crate) fn capture_state(&self, st: &RunState) -> SessionState {
+        let cutoff = self
+            .system
+            .now_us()
+            .saturating_sub(self.system.config().ccheck_horizon_us);
+        let mut state = self.system.capture(cutoff, st.clock_since(cutoff));
+        state.origin_detect = st.origin_detect.map(|(w, n)| (w as u64, n as u64));
+        state.first_detect_window = st.first_detect_window.map(|w| w as u64);
+        state.failovers = st.failovers as u64;
+        state.hash_drops = st.hash_drops as u64;
+        for (node, img) in state.nodes.iter_mut().enumerate() {
+            img.confirmed_ms = st.confirmed[node];
+            img.stim_log = self.stim[node].log().to_vec();
+            img.stim_energy_uj = self.stim[node].total_energy_uj();
+        }
+        state
+    }
+
+    /// Installs a validated state image on this freshly built app, whose
+    /// detectors are installed, and returns the run state at cursor
+    /// `window` of a `windows_total`-window recording with `electrodes`
+    /// per node. The application RNG moves to `rng_word_pos`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Invalid`] when the image does not fit this
+    /// system ([`Scalo::install`]).
+    pub(crate) fn install_state(
+        &mut self,
+        state: &SessionState,
+        rng_word_pos: u64,
+        window: usize,
+        windows_total: usize,
+        electrodes: usize,
+    ) -> Result<RunState, SnapshotError> {
+        let windows_back = self.windows_back();
+        self.system.install(state, electrodes, windows_back)?;
+        for (engine, img) in self.stim.iter_mut().zip(&state.nodes) {
+            *engine = StimEngine::resume(img.stim_log.clone(), img.stim_energy_uj);
+        }
+        self.rng.set_word_pos(u128::from(rng_word_pos));
+        let mut clock =
+            vec![(usize::MAX, 0); clock_windows(self.system.config().ccheck_horizon_us)];
+        let first = window - state.window_clock.len();
+        for (i, &t) in state.window_clock.iter().enumerate() {
+            let w = first + i;
+            let slot = w % clock.len();
+            clock[slot] = (w, t);
+        }
+        Ok(RunState {
+            origin_detect: state.origin_detect.map(|(w, n)| (w as usize, n as usize)),
+            first_detect_window: state.first_detect_window.map(|w| w as usize),
+            failovers: state.failovers as usize,
+            confirmed: state.nodes.iter().map(|n| n.confirmed_ms).collect(),
+            hash_drops: state.hash_drops as usize,
+            window,
+            windows_total,
+            electrodes,
+            clock,
+        })
+    }
+
+    /// Re-derives `node`'s stored window of `electrode` stamped
+    /// `timestamp_us` into `out`, when it lies before the samples
+    /// `recording` holds (a restored session's image carries no signal
+    /// records) and the node's `Hashes` partition proves it was stored:
+    /// synthesized from the seekable generator and quantized as
+    /// [`Node::stored_form_into`] does. `false` when it is not such a
+    /// window.
+    pub(crate) fn rederive_stored_window(
+        &self,
+        recording: RecordingView<'_>,
+        st: &RunState,
+        node: usize,
+        electrode: usize,
+        timestamp_us: u64,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        let Some(w) = st.window_at(timestamp_us) else {
+            return false;
+        };
+        if (w + 1) * WINDOW > recording.from()
+            || !self.system.node(node).hash_stored(electrode, timestamp_us)
+        {
+            return false;
+        }
+        let window = generate_range(&recording.recording.config, w * WINDOW, (w + 1) * WINDOW);
+        Node::stored_form_into(&window.nodes[node].channels[electrode], out);
+        true
+    }
+
     /// Installs `detectors[n]` on node `n`, as [`Self::train_detectors`]
     /// would have.
     pub fn install_detectors(&mut self, detectors: Vec<LinearSvm>) {
@@ -296,6 +463,7 @@ impl SeizureApp {
             window: 0,
             windows_total: recording.nodes[0].num_samples() / WINDOW,
             electrodes: recording.nodes[0].num_channels(),
+            clock: vec![(usize::MAX, 0); clock_windows(self.system.config().ccheck_horizon_us)],
         }
     }
 
@@ -323,6 +491,7 @@ impl SeizureApp {
         if st.is_done() {
             return false;
         }
+        let recording = RecordingView::new(recording, 0);
         let mut engine = std::mem::take(&mut ws.engine);
         let laps = ws.trace.is_enabled().then(Instant::now);
         let [gather, sketch, filter] = engine.prepass(
@@ -350,7 +519,7 @@ impl SeizureApp {
     /// RNG draw run here, per member.
     pub(crate) fn step_lanes(
         &mut self,
-        recording: &MultiSiteRecording,
+        recording: RecordingView<'_>,
         st: &mut RunState,
         ws: &mut Workspace,
         lanes: MemberLanes<'_>,
@@ -360,10 +529,8 @@ impl SeizureApp {
         let horizon = self.system.config().ccheck_horizon_us;
         if st.window == 0 {
             // Size every node's CCHECK SRAM and NVM rings to the working
-            // set: double the collision horizon (plus slack) so ring
-            // evictions stay strictly older than any window still
-            // reachable by matching or `stored_window`.
-            let windows_back = 2 * ((horizon / WINDOW_US) as usize + 2);
+            // set ([`Self::windows_back`]).
+            let windows_back = self.windows_back();
             for node_id in 0..k {
                 self.system
                     .node_mut(node_id)
@@ -374,6 +541,8 @@ impl SeizureApp {
             let w = st.window;
             let t0 = w * WINDOW;
             let now = self.system.now_us();
+            let slot = w % st.clock.len();
+            st.clock[slot] = (w, now);
 
             // 1. Ingest this window on every live node (crashed nodes
             // neither record nor hash): the signal windows straight from
@@ -383,10 +552,9 @@ impl SeizureApp {
                 if !self.system.is_alive(node_id) {
                     continue;
                 }
-                let channels = &recording.nodes[node_id].channels;
                 self.system.node_mut(node_id).ingest_block(
                     now,
-                    |e| &channels[e][t0..t0 + WINDOW],
+                    |e| recording.window(node_id, e, t0),
                     lanes.hashes(node_id),
                     ws,
                 );
@@ -539,7 +707,7 @@ impl SeizureApp {
                 for wi in 0..ws.wanted.len() {
                     let origin_e = ws.wanted[wi];
                     ws.trace.begin(Stage::Radio);
-                    let sig = &recording.nodes[origin].channels[origin_e][t0..t0 + WINDOW];
+                    let sig = recording.window(origin, origin_e, t0);
                     ws.sig_bytes.clear();
                     for &x in sig {
                         ws.sig_bytes
@@ -583,7 +751,15 @@ impl SeizureApp {
                         let found =
                             self.system
                                 .node(to)
-                                .stored_window_into(local_e, ts, &mut ws.local_win);
+                                .stored_window_into(local_e, ts, &mut ws.local_win)
+                                || self.rederive_stored_window(
+                                    recording,
+                                    st,
+                                    to,
+                                    local_e,
+                                    ts,
+                                    &mut ws.local_win,
+                                );
                         ws.trace.end(Stage::StorageRead);
                         if !found {
                             continue;

@@ -50,10 +50,9 @@
 //! wall time, and deadlines are held against the work a window really
 //! cost, in a cohort as in solo serving.
 
-use crate::apps::seizure::{SeizureApp, WINDOW};
+use crate::apps::seizure::{RecordingView, SeizureApp, WINDOW};
 use crate::node::Node;
 use crate::session::{Session, SessionSpec, StepOutcome};
-use scalo_data::ieeg::MultiSiteRecording;
 use scalo_lsh::eval::MeasureHasher;
 use scalo_lsh::ssh::BlockHashScratch;
 use scalo_lsh::SignalHash;
@@ -298,7 +297,7 @@ impl Cohort {
         electrodes: usize,
         t0: usize,
         members: usize,
-        recording: impl Fn(usize) -> &'r MultiSiteRecording,
+        recording: impl Fn(usize) -> RecordingView<'r>,
         mut laps: Option<Instant>,
     ) -> [u64; 3] {
         let mut stage_ns = [0u64; 3];
@@ -309,9 +308,8 @@ impl Cohort {
                 *last = now;
             }
         };
-        let window = |m: usize, node: usize, e: usize| -> &'r [f64] {
-            &recording(m).nodes[node].channels[e][t0..t0 + WINDOW]
-        };
+        let window =
+            |m: usize, node: usize, e: usize| -> &'r [f64] { recording(m).window(node, e, t0) };
         let nodes = app.system().node_count();
         let lanes = members * electrodes;
         let Self {

@@ -54,6 +54,7 @@ pub mod runtime;
 pub mod session;
 pub mod snapshot;
 pub mod sntp;
+pub mod state;
 pub mod stim;
 pub mod system;
 pub mod workspace;

@@ -82,6 +82,39 @@ impl MembershipView {
         }
     }
 
+    /// A view restored from its parts: `last_heard_us[p]` and
+    /// `states[p]` per peer `p`, as [`Self::last_heard_us`] and
+    /// [`Self::states`] report them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both are one entry per peer and `owner` is a peer.
+    pub fn from_parts(
+        owner: usize,
+        cfg: MembershipConfig,
+        last_heard_us: Vec<u64>,
+        states: Vec<PeerState>,
+    ) -> Self {
+        assert_eq!(last_heard_us.len(), states.len(), "one entry per peer");
+        assert!(owner < states.len(), "owner out of range");
+        Self {
+            owner,
+            cfg,
+            last_heard_us,
+            states,
+        }
+    }
+
+    /// When each peer was last heard from, µs.
+    pub fn last_heard_us(&self) -> &[u64] {
+        &self.last_heard_us
+    }
+
+    /// Each peer's state.
+    pub fn states(&self) -> &[PeerState] {
+        &self.states
+    }
+
     /// The node holding this view.
     pub fn owner(&self) -> usize {
         self.owner

@@ -1,6 +1,7 @@
 //! One SCALO implant.
 
 use crate::config::ScaloConfig;
+use crate::state::HashImage;
 use crate::workspace::Workspace;
 use scalo_lsh::ccheck::{CollisionChecker, HashMatch};
 use scalo_lsh::eval::MeasureHasher;
@@ -77,6 +78,12 @@ impl Node {
     ///
     /// Panics if called after windows have already been ingested.
     pub fn prepare_steady_state(&mut self, electrodes: usize, windows_back: usize) {
+        self.prepare(electrodes, windows_back, self.window_samples * 2);
+    }
+
+    /// [`Node::prepare_steady_state`] with signal buffers pre-sized to
+    /// `signal_bytes` (0 grows each on its first use instead).
+    fn prepare(&mut self, electrodes: usize, windows_back: usize, signal_bytes: usize) {
         if self.prepared {
             return;
         }
@@ -87,7 +94,7 @@ impl Node {
         self.ccheck.prefill(hash_bytes);
         self.storage
             .get_mut(PartitionKind::Signals)
-            .prefill_ring(ring, self.window_samples * 2);
+            .prefill_ring(ring, signal_bytes);
         self.storage
             .get_mut(PartitionKind::Hashes)
             .prefill_ring(ring, hash_bytes);
@@ -236,7 +243,7 @@ impl Node {
         assert_eq!(window.len(), self.window_samples, "window length");
         quantized.clear();
         for &x in window {
-            quantized.extend_from_slice(&((x * 8_192.0) as i16).to_le_bytes());
+            quantized.extend_from_slice(&quantize(x).to_le_bytes());
         }
         self.storage.get_mut(PartitionKind::Signals).append_bytes(
             timestamp_us,
@@ -278,9 +285,104 @@ impl Node {
         out.extend(
             rec.data
                 .chunks_exact(2)
-                .map(|b| i16::from_le_bytes([b[0], b[1]]) as f64 / 8_192.0),
+                .map(|b| dequantize(i16::from_le_bytes([b[0], b[1]]))),
         );
         true
+    }
+
+    /// Writes `window` into `out` (cleared first) exactly as
+    /// [`Node::stored_window_into`] would read it back once stored: the
+    /// form in which a restored node re-derives a signal window its
+    /// image did not carry.
+    pub(crate) fn stored_form_into(window: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(window.iter().map(|&x| dequantize(quantize(x))));
+    }
+
+    /// Whether the `Hashes` partition holds a record of `electrode`
+    /// stamped `timestamp_us` — proof that the window was stored.
+    pub(crate) fn hash_stored(&self, electrode: usize, timestamp_us: u64) -> bool {
+        self.storage
+            .get(PartitionKind::Hashes)
+            .record_at(electrode as u32, timestamp_us)
+            .is_some()
+    }
+
+    /// `(configured, failed)` bytes of each NVM partition, in
+    /// [`PartitionKind::ALL`] order.
+    pub(crate) fn partition_counters(&self) -> [(u64, u64); 4] {
+        PartitionKind::ALL.map(|kind| {
+            let p = self.storage.get(kind);
+            (p.capacity_bytes() as u64, p.failed_bytes() as u64)
+        })
+    }
+
+    /// The CCHECK records stamped at or after `cutoff_us`, oldest first,
+    /// each placed on `clock` (ingest µs of consecutive windows, oldest
+    /// first), with their hash bytes concatenated into `bytes`. Every
+    /// such record was ingested at a clocked window: the clock spans the
+    /// whole collision horizon.
+    pub(crate) fn horizon_hashes(
+        &self,
+        cutoff_us: u64,
+        clock: &[u64],
+        bytes: &mut Vec<u8>,
+    ) -> Vec<HashImage> {
+        self.ccheck
+            .records()
+            .filter(|rec| rec.timestamp_us >= cutoff_us)
+            .map(|rec| {
+                bytes.extend_from_slice(&rec.hash.0);
+                HashImage {
+                    slot: clock
+                        .binary_search(&rec.timestamp_us)
+                        .expect("every in-horizon record was ingested at a clocked window")
+                        as u16,
+                    electrode: rec.electrode as u16,
+                }
+            })
+            .collect()
+    }
+
+    /// Brings a fresh node to the storage state an image describes:
+    /// prepares it for `electrodes × windows_back` records
+    /// ([`Node::prepare_steady_state`], except that each signal buffer
+    /// grows on its first window: a swapped-in session often serves a
+    /// short burst before it is evicted again, so it would rarely use
+    /// the ring a cold build pre-sizes), sets the partition counters,
+    /// and records each carried hash (timestamp `clock[slot]`, `width`
+    /// bytes from `bytes`) in the CCHECK SRAM and the `Hashes`
+    /// partition, as [`Node::store`] did. Signal records are not
+    /// installed; see [`Node::stored_form_into`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn install_records(
+        &mut self,
+        electrodes: usize,
+        windows_back: usize,
+        counters: &[(u64, u64); 4],
+        hashes: &[HashImage],
+        bytes: &[u8],
+        width: usize,
+        clock: &[u64],
+    ) {
+        self.prepare(electrodes, windows_back, 0);
+        for (kind, &(capacity, failed)) in PartitionKind::ALL.iter().zip(counters) {
+            self.storage
+                .get_mut(*kind)
+                .set_capacity_counters(capacity as usize, failed as usize);
+        }
+        let mut hash = SignalHash(Vec::with_capacity(width));
+        for (h, chunk) in hashes.iter().zip(bytes.chunks_exact(width.max(1))) {
+            let ts = clock[usize::from(h.slot)];
+            hash.0.clear();
+            hash.0.extend_from_slice(&chunk[..width]);
+            self.storage.get_mut(PartitionKind::Hashes).append_bytes(
+                ts,
+                u32::from(h.electrode),
+                &hash.0,
+            );
+            self.ccheck.record_copy(usize::from(h.electrode), ts, &hash);
+        }
     }
 
     /// Matches received hashes against recent local hashes (CCHECK),
@@ -373,6 +475,16 @@ impl Node {
     pub fn ccheck_len(&self) -> usize {
         self.ccheck.len()
     }
+}
+
+/// A sample as the NVM signal partition stores it.
+fn quantize(x: f64) -> i16 {
+    (x * 8_192.0) as i16
+}
+
+/// A stored sample read back.
+fn dequantize(q: i16) -> f64 {
+    q as f64 / 8_192.0
 }
 
 #[cfg(test)]

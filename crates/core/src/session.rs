@@ -13,13 +13,17 @@
 //! makes fleet execution reproducible on any worker count.
 
 use crate::apps::movement;
-use crate::apps::seizure::{training_windows, PropagationRun, RunState, SeizureApp, WINDOW_US};
+use crate::apps::seizure::{
+    training_windows, PropagationRun, RecordingView, RunState, SeizureApp, WINDOW, WINDOW_US,
+};
 use crate::cohort::{Charge, MemberLanes};
 use crate::config::ScaloConfig;
 use crate::plan::{PlanError, ProgramPlan};
 use crate::snapshot::{fnv1a, Fnv64, SessionSnapshot, SnapshotError};
 use crate::workspace::Workspace;
-use scalo_data::ieeg::{generate, IeegConfig, MultiSiteRecording, SeizureEvent};
+use scalo_data::ieeg::{
+    generate, generate_range, num_samples, IeegConfig, MultiSiteRecording, SeizureEvent,
+};
 use scalo_trace::{Recorder, SpanEvent, Stage};
 use std::time::{Duration, Instant};
 
@@ -182,10 +186,11 @@ impl SessionSpec {
 /// The decision-affecting knobs a reconfiguration can change, plus the
 /// query they came from: one epoch of a session's binding timeline.
 ///
-/// Restoration replays a session epoch by epoch — epoch 0's binding
-/// from window 0, each later binding from its recorded window — so a
-/// snapshot taken *after* a hot reconfiguration still verifies
-/// digest-for-digest (see [`Session::restore`]).
+/// Snapshots carry the whole timeline, so the re-execution verifier
+/// replays a session epoch by epoch — epoch 0's binding from window 0,
+/// each later binding from its recorded window — and a snapshot taken
+/// *after* a hot reconfiguration still verifies digest-for-digest (see
+/// [`Session::restore_verified`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryBinding {
     /// Movement-mix cadence in windows (0 = none).
@@ -288,7 +293,10 @@ impl SessionReport {
 pub struct Session {
     spec: SessionSpec,
     app: SeizureApp,
+    /// The serving recording from sample `recording_from` on: all of it
+    /// for a cold build, the windows from the cursor on for a restore.
     recording: MultiSiteRecording,
+    recording_from: usize,
     state: RunState,
     movement: Option<movement::Session>,
     /// Decode-round results, in order: part of the decision digest.
@@ -305,8 +313,8 @@ pub struct Session {
     /// timeline).
     initial_binding: QueryBinding,
     /// Hot reconfigurations applied so far: `(window, binding)` pairs in
-    /// application order. Snapshots carry the whole timeline so restore
-    /// can replay it faithfully.
+    /// application order. Snapshots carry the whole timeline so the
+    /// verifier ([`Self::restore_verified`]) can replay it faithfully.
     reconfigures: Vec<(u64, QueryBinding)>,
 }
 
@@ -319,16 +327,28 @@ impl Session {
     pub fn new(spec: SessionSpec) -> Self {
         let mut app = patient_app(&spec);
         app.train_detectors(&training_windows(&patient_config(&spec, spec.seed ^ 1)));
-        Self::assemble(spec, app)
+        Self::build(spec, app)
     }
 
-    /// The session around `app`, whose detectors are installed: the
-    /// serving recording, the run state at window 0, movement engine,
-    /// and workspace.
-    fn assemble(spec: SessionSpec, mut app: SeizureApp) -> Self {
+    /// The session around `app`, whose detectors are installed, at
+    /// window 0 of its whole serving recording.
+    fn build(spec: SessionSpec, mut app: SeizureApp) -> Self {
         let recording = generate(&patient_config(&spec, spec.seed));
         app.use_reliable_transport = spec.use_reliable_transport;
         let state = app.begin(&recording);
+        Self::assemble(spec, app, recording, 0, state)
+    }
+
+    /// The session around `app` (detectors installed) at `state`, its
+    /// serving recording held from sample `recording_from` on: adds the
+    /// movement engine and the workspace.
+    fn assemble(
+        spec: SessionSpec,
+        app: SeizureApp,
+        recording: MultiSiteRecording,
+        recording_from: usize,
+        state: RunState,
+    ) -> Self {
         let movement =
             (spec.movement_every > 0).then(|| movement::generate_session(24, 8, spec.seed ^ 0x33));
         let mut workspace = Workspace::new();
@@ -342,6 +362,7 @@ impl Session {
             spec,
             app,
             recording,
+            recording_from,
             state,
             movement,
             movement_results: Vec::new(),
@@ -359,10 +380,11 @@ impl Session {
         &self.spec
     }
 
-    /// The session's synthetic recording — the window engine reads it to
-    /// gather this member's lanes into the fused block.
-    pub(crate) fn recording(&self) -> &MultiSiteRecording {
-        &self.recording
+    /// The session's synthetic recording, from its first held sample —
+    /// the window engine reads it to gather this member's lanes into the
+    /// fused block.
+    pub(crate) fn recording(&self) -> RecordingView<'_> {
+        RecordingView::new(&self.recording, self.recording_from)
     }
 
     /// The application harness (the window engine borrows a member's
@@ -427,9 +449,10 @@ impl Session {
     /// live session and appended to its timeline, and the serving knobs
     /// are copied. Nothing is rebuilt or re-executed, and the recorder
     /// keeps every span served so far. A binding only steers windows
-    /// from its cutover on, so this is the session [`Self::restore`]
-    /// rebuilds from any later snapshot: it replays the same timeline
-    /// and applies the binding at the same window.
+    /// from its cutover on, so this is the session
+    /// [`Self::restore_verified`] rebuilds from any later snapshot: it
+    /// replays the same timeline and applies the binding at the same
+    /// window.
     ///
     /// `expected_step_digest` optionally pins the live session's
     /// [`Self::step_digest`] at the boundary (the forced-mismatch
@@ -548,9 +571,12 @@ impl Session {
         self.workspace
             .trace
             .begin_charged(Stage::Window, &charge.spans);
-        let more =
-            self.app
-                .step_lanes(&self.recording, &mut self.state, &mut self.workspace, lanes);
+        let more = self.app.step_lanes(
+            RecordingView::new(&self.recording, self.recording_from),
+            &mut self.state,
+            &mut self.workspace,
+            lanes,
+        );
         if let Some(ms) = &self.movement {
             let every = self.spec.movement_every;
             if every > 0 && self.state.window().is_multiple_of(every) {
@@ -726,8 +752,8 @@ impl Session {
 
     /// Captures a serializable image of the session at the current
     /// window boundary: spec, cursors, RNG position, movement results,
-    /// the trained detectors, and the digest cursor. Pair with
-    /// [`Self::restore`].
+    /// the session state, the trained detectors, and the digest cursor.
+    /// Pair with [`Self::restore`] (or [`Self::restore_verified`]).
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             spec: self.spec.clone(),
@@ -741,6 +767,7 @@ impl Session {
                 .iter()
                 .map(|&(r, v)| (r as u64, v))
                 .collect(),
+            state: self.app.capture_state(&self.state),
             step_digest: self.step_digest(),
             decisions_fnv: fnv1a(self.decision_digest().as_bytes()),
             initial_binding: self.initial_binding.clone(),
@@ -749,34 +776,90 @@ impl Session {
         }
     }
 
-    /// Reconstructs a session at `snap`'s window cursor.
+    /// Resumes a session at `snap`'s window cursor from its state image.
     ///
-    /// The image's trained detectors are installed as they are: restore
-    /// never synthesizes the training recording and never trains. The
-    /// rest is deterministic re-execution, since sessions are pure
-    /// functions of their seed: regenerate the serving recording and
-    /// fast-forward window by window to the cursor — with the modeled
-    /// radio stall suppressed, so recovery runs at compute speed rather
-    /// than simulated-radio speed. The snapshot's digest cursor and RNG
-    /// position are then verified byte-for-byte; any divergence (a
-    /// corrupted image that beat the checksum, detectors that are not
-    /// the ones the logged run used, or code whose decisions drifted
-    /// from the logged run) is an error, never a silently different
-    /// session. Wall-clock accounting (steps, misses, stepping time) is
-    /// carried over from the snapshot, not from the fast-forward.
+    /// The image's detectors and session state are installed as they
+    /// are, the application RNG is moved to the image's position, and
+    /// only the serving windows from the cursor on are synthesized:
+    /// restore never steps a window, never synthesizes the training
+    /// recording and never trains. The installed state must digest to
+    /// the image's digest cursor (the step digest and the fingerprint of
+    /// the full decision digest), so a state that disagrees with its own
+    /// cursor is an error, never a silently different session. Wall-clock
+    /// accounting (steps, misses, stepping time) is carried over.
     ///
-    /// Sessions that were hot-reconfigured replay their whole binding
-    /// timeline: the rebuild starts from the *initial* binding, each
-    /// recorded reconfiguration is re-applied at its window, and only
-    /// then does the fast-forward reach the cursor — so a snapshot
-    /// taken after any number of reconfigurations still verifies.
+    /// A hot-reconfigured session resumes under its current binding and
+    /// keeps its timeline. Signal windows before the cursor are not in
+    /// the image; the session re-derives one on read from the seekable
+    /// generator when its carried hash records prove it was stored.
+    /// [`Self::restore_verified`] re-executes instead and checks the
+    /// state itself.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Invalid`] for an image that fails
+    /// [`SessionSnapshot::validate`] or does not fit the deployment;
+    /// [`SnapshotError::DigestMismatch`] when the installed state does
+    /// not reproduce the image's digest cursor.
+    pub fn restore(snap: &SessionSnapshot) -> Result<Self, SnapshotError> {
+        snap.validate()?;
+        let spec = snap.spec.clone();
+        let mut app = patient_app(&spec);
+        app.install_detectors(snap.detectors.clone());
+        app.use_reliable_transport = spec.use_reliable_transport;
+        let config = patient_config(&spec, spec.seed);
+        let samples = num_samples(&config);
+        let cursor = snap.window as usize;
+        let state = app.install_state(
+            &snap.state,
+            snap.rng_word_pos,
+            cursor,
+            samples / WINDOW,
+            spec.electrodes,
+        )?;
+        let from = cursor * WINDOW;
+        // The digests read no samples: check them before synthesizing.
+        let empty = MultiSiteRecording {
+            nodes: Vec::new(),
+            config,
+        };
+        let mut session = Self::assemble(spec, app, empty, from, state);
+        session.initial_binding = snap.initial_binding.clone();
+        session.reconfigures = snap.reconfigures.clone();
+        session.movement_results = snap
+            .movement_results
+            .iter()
+            .map(|&(r, v)| (r as usize, v))
+            .collect();
+        session.check_cursor(snap)?;
+        session.recording = generate_range(&session.recording.config, from, samples);
+        session.steps = snap.steps;
+        session.deadline_misses = snap.deadline_misses;
+        session.wall_us = snap.wall_us;
+        Ok(session)
+    }
+
+    /// The re-execution verifier that WAL recovery and `experiments
+    /// replay` restore through: rebuilds the session from `snap`'s spec
+    /// with the image's detectors (never training), re-executes it to the
+    /// cursor, and requires the replayed session to equal the image —
+    /// digest cursor, RNG position and the whole session state, byte for
+    /// byte. Re-execution runs with the modeled radio stall suppressed,
+    /// so it goes at compute speed. Any divergence (a corrupted image
+    /// that beat the checksum, detectors or state that are not the ones
+    /// the logged run had, or code whose decisions drifted from it) is an
+    /// error. Wall-clock accounting is carried over from the image.
+    ///
+    /// A hot-reconfigured session replays its whole binding timeline:
+    /// the rebuild starts from the *initial* binding, and each recorded
+    /// reconfiguration is re-applied at its window on the way.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Invalid`] for an image that fails
     /// [`SessionSnapshot::validate`]; [`SnapshotError::DigestMismatch`]
-    /// when the replay does not reproduce the image's cursor.
-    pub fn restore(snap: &SessionSnapshot) -> Result<Self, SnapshotError> {
+    /// when the replay does not reproduce the image.
+    pub fn restore_verified(snap: &SessionSnapshot) -> Result<Self, SnapshotError> {
         snap.validate()?;
         let mut base = snap.spec.clone();
         base.movement_every = snap.initial_binding.movement_every;
@@ -784,7 +867,7 @@ impl Session {
         base.query = snap.initial_binding.query.clone();
         let mut app = patient_app(&base);
         app.install_detectors(snap.detectors.clone());
-        let mut session = Self::assemble(base, app);
+        let mut session = Self::build(base, app);
         for (window, binding) in &snap.reconfigures {
             while (session.state.window() as u64) < *window && !session.state.is_done() {
                 session.step_after(0);
@@ -800,41 +883,44 @@ impl Session {
         // Fast-forward spans are re-execution artifacts, not serving
         // history: drop them so post-recovery traces start clean.
         session.workspace.trace.clear();
-        let replayed = session.step_digest();
-        if replayed != snap.step_digest {
-            return Err(SnapshotError::DigestMismatch {
-                session: snap.spec.id,
-                window: snap.window,
-                stored: snap.step_digest,
-                replayed,
-            });
-        }
-        let decisions = fnv1a(session.decision_digest().as_bytes());
-        if decisions != snap.decisions_fnv {
-            return Err(SnapshotError::DigestMismatch {
-                session: snap.spec.id,
-                window: snap.window,
-                stored: snap.decisions_fnv,
-                replayed: decisions,
-            });
-        }
+        session.check_cursor(snap)?;
         if session.app.rng_word_pos() != snap.rng_word_pos {
-            return Err(SnapshotError::DigestMismatch {
-                session: snap.spec.id,
-                window: snap.window,
-                stored: snap.rng_word_pos,
-                replayed: session.app.rng_word_pos(),
-            });
+            return Err(mismatch(
+                snap,
+                snap.rng_word_pos,
+                session.app.rng_word_pos(),
+            ));
+        }
+        let (mut stored, mut replayed) = (Vec::new(), Vec::new());
+        snap.state.encode_into(&mut stored);
+        session
+            .app
+            .capture_state(&session.state)
+            .encode_into(&mut replayed);
+        if stored != replayed {
+            return Err(mismatch(snap, fnv1a(&stored), fnv1a(&replayed)));
         }
         session.steps = snap.steps;
         session.deadline_misses = snap.deadline_misses;
         session.wall_us = snap.wall_us;
-        session.movement_results = snap
-            .movement_results
-            .iter()
-            .map(|&(r, v)| (r as usize, v))
-            .collect();
         Ok(session)
+    }
+
+    /// Checks the session against `snap`'s digest cursor: its window, its
+    /// step digest, and the fingerprint of its full decision digest.
+    fn check_cursor(&self, snap: &SessionSnapshot) -> Result<(), SnapshotError> {
+        if self.window() != snap.window {
+            return Err(mismatch(snap, snap.window, self.window()));
+        }
+        let digest = self.step_digest();
+        if digest != snap.step_digest {
+            return Err(mismatch(snap, snap.step_digest, digest));
+        }
+        let decisions = fnv1a(self.decision_digest().as_bytes());
+        if decisions != snap.decisions_fnv {
+            return Err(mismatch(snap, snap.decisions_fnv, decisions));
+        }
+        Ok(())
     }
 
     /// Re-arms (or disables, with 0) the span recorder with a ring of
@@ -866,6 +952,17 @@ impl Session {
             self.movement_results,
             sys.now_us(),
         )
+    }
+}
+
+/// `snap`'s session disagreeing with the image: `stored` in the image,
+/// `replayed` in the restored or re-executed session.
+fn mismatch(snap: &SessionSnapshot, stored: u64, replayed: u64) -> SnapshotError {
+    SnapshotError::DigestMismatch {
+        session: snap.spec.id,
+        window: snap.window,
+        stored,
+        replayed,
     }
 }
 
@@ -1018,9 +1115,10 @@ mod tests {
             !session.movement_results.is_empty(),
             "the new binding's movement mix must actually run"
         );
-        // A snapshot taken after the cutover must restore (timeline
-        // replay) and keep digesting identically.
+        // A snapshot taken after the cutover must restore, by state and
+        // by timeline replay, and keep digesting identically.
         let snap = session.snapshot();
+        assert!(Session::restore_verified(&snap).is_ok());
         let restored = Session::restore(&snap).unwrap();
         assert_eq!(restored.step_digest(), session.step_digest());
         assert_eq!(restored.decision_digest(), session.decision_digest());
@@ -1055,7 +1153,7 @@ mod tests {
         }
         let served = session.trace().events();
         let recording_bytes: usize = session
-            .recording()
+            .recording
             .nodes
             .iter()
             .flat_map(|n| &n.channels)
@@ -1080,6 +1178,55 @@ mod tests {
         let restored = Session::restore(&snap).unwrap();
         assert_eq!(restored.step_digest(), session.step_digest());
         assert_eq!(restored.decision_digest(), session.decision_digest());
+    }
+
+    /// A restored session holds no signal window from before its
+    /// cursor, yet must read back every one its hash records prove was
+    /// stored exactly as the uninterrupted session's NVM holds it.
+    #[test]
+    fn restored_nodes_rederive_every_stored_window_in_the_horizon() {
+        let mut live = Session::new(SessionSpec::new(24, 0x24).with_deployment(3, 4));
+        for _ in 0..80 {
+            live.step();
+        }
+        let snap = live.snapshot();
+        let restored = Session::restore(&snap).unwrap();
+        let state = &snap.state;
+        assert!(state.window_clock.len() >= 25, "{:?}", state.window_clock);
+        let mut checked = 0;
+        for (node, img) in state.nodes.iter().enumerate() {
+            for h in &img.hashes {
+                let (e, ts) = (
+                    usize::from(h.electrode),
+                    state.window_clock[usize::from(h.slot)],
+                );
+                let stored = live.app.system().node(node).stored_window(e, ts);
+                assert!(stored.is_some(), "node {node} e{e} @{ts}");
+                let mut rederived = Vec::new();
+                assert!(restored.app.rederive_stored_window(
+                    restored.recording(),
+                    &restored.state,
+                    node,
+                    e,
+                    ts,
+                    &mut rederived
+                ));
+                assert_eq!(Some(rederived), stored, "node {node} e{e} @{ts}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3 * 4 * state.window_clock.len());
+        // A window the hash records do not prove stored is not made up.
+        let mut out = Vec::new();
+        let ts = state.window_clock[0];
+        assert!(!restored.app.rederive_stored_window(
+            restored.recording(),
+            &restored.state,
+            0,
+            4,
+            ts,
+            &mut out
+        ));
     }
 
     #[test]

@@ -1,33 +1,43 @@
 //! Compact binary session snapshots — the unit of fleet durability.
 //!
-//! A [`SessionSnapshot`] captures everything the durability layer needs
-//! to reconstruct a [`crate::session::Session`] after a process death:
+//! A [`SessionSnapshot`] is a *state image*: it captures everything the
+//! durability and swap layers need to resume a
+//! [`crate::session::Session`] after an eviction or a process death:
 //! the full [`SessionSpec`], the window cursor and step accounting, the
-//! application RNG's stream position, the movement decode results, each
-//! node's trained seizure detector (weights and bias, 72 B per node),
-//! and a two-part digest cursor (the cheap per-window step digest plus
-//! the FNV fingerprint of the full decision digest). The codec is a
-//! hand-rolled little-endian byte format — fixed-width integers, IEEE
-//! bit-patterns for floats, length-prefixed sequences — with a
-//! versioned header and a trailing FNV-1a checksum, so a stale or
-//! corrupted image is rejected cleanly instead of deserialising into
-//! garbage, and a field a restore could not serve (a node count past
-//! the lag table, a detector of the wrong length or with a non-finite
-//! weight) is rejected as [`SnapshotError::Invalid`].
+//! application RNG's stream position, the movement decode results, the
+//! session state ([`SessionState`]: run state, system state, and per
+//! node the collision-horizon hash records, partition counters and
+//! stimulation engine), each node's trained seizure detector (weights
+//! and bias, 72 B per node), and a two-part digest cursor (the cheap
+//! per-window step digest plus the FNV fingerprint of the full decision
+//! digest). The codec is a hand-rolled little-endian byte format —
+//! fixed-width integers, IEEE bit-patterns for floats, count-prefixed
+//! lists of fixed-size records — with a versioned header and a trailing
+//! FNV-1a checksum, so a stale or corrupted image is rejected cleanly
+//! instead of deserialising into garbage, and a field a restore could
+//! not serve (a node count past the lag table, a detector of the wrong
+//! length or with a non-finite weight, a hash record off the window
+//! clock) is rejected as [`SnapshotError::Invalid`].
 //!
-//! Restoration installs the image's detectors, so it never synthesizes
-//! the training recording or trains. The rest is *deterministic
-//! re-execution*: SCALO sessions are pure functions of their seed, so
-//! the snapshot does not serialise the multi-megabyte system image (NVM
-//! rings, CCHECK SRAM). Instead [`crate::session::Session::restore`]
-//! regenerates the serving recording and fast-forwards to the
-//! snapshot's window cursor, then *verifies* the checkpointed digest
-//! cursor and RNG position byte-for-byte — divergence is an error,
-//! never silent.
+//! [`crate::session::Session::restore`] installs the state and
+//! synthesizes only the serving windows from the cursor on: it never
+//! steps a window, never synthesizes the training recording and never
+//! trains. It then checks that the installed state digests to the
+//! image's digest cursor. Signal windows before the cursor are not in
+//! the image (the NVM signal ring would be most of its bytes); a
+//! restored node re-derives one on read from the seekable generator.
+//!
+//! [`crate::session::Session::restore_verified`] is the verifier the
+//! WAL recovery and `experiments replay` use: it rebuilds the session
+//! from its spec and the image's detectors, re-executes it to the
+//! cursor, and requires the replayed state, digest cursor and RNG
+//! position to equal the image's byte for byte — divergence is an
+//! error, never silent.
 
-use crate::apps::seizure::WINDOW_US;
+use crate::apps::seizure::{WINDOW, WINDOW_US};
 use crate::node::Node;
 use crate::session::{QueryBinding, SessionSpec};
+pub use crate::state::SessionState;
 use scalo_data::ieeg::MAX_NODES;
 use scalo_data::SAMPLE_RATE_HZ;
 use scalo_ml::svm::LinearSvm;
@@ -58,9 +68,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SCSS";
 /// query source and binding timeline (initial binding plus every hot
 /// reconfiguration), so recovery replays reconfigured sessions epoch
 /// by epoch. Version 3 added each node's trained detector, so restore
-/// installs the detectors instead of retraining them; older images are
-/// rejected with [`SnapshotError::BadVersion`].
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// installs the detectors instead of retraining them. Version 4 added
+/// the session state ([`SessionState`]), so restore installs it instead
+/// of re-executing to the cursor; older images are rejected with
+/// [`SnapshotError::BadVersion`].
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Incremental 64-bit FNV-1a hasher, allocation-free. Used for the
 /// per-window step digests, the snapshot checksum, and the WAL record
@@ -94,8 +106,8 @@ pub enum SnapshotError {
     },
     /// A decoded field failed validation (e.g. a zero-node deployment).
     Invalid(&'static str),
-    /// Fast-forward replay reached the cursor with a different digest
-    /// than the snapshot recorded — the log and the code disagree.
+    /// The restored (or replayed) session does not digest to the
+    /// image's cursor — the image and the code disagree.
     DigestMismatch {
         /// Session id.
         session: u64,
@@ -103,7 +115,7 @@ pub enum SnapshotError {
         window: u64,
         /// Digest recorded in the snapshot.
         stored: u64,
-        /// Digest produced by re-execution.
+        /// Digest of the restored or re-executed session.
         replayed: u64,
     },
 }
@@ -145,7 +157,7 @@ impl std::error::Error for SnapshotError {}
 pub struct SessionSnapshot {
     /// The full session spec — recovery rebuilds the session from it.
     pub spec: SessionSpec,
-    /// Next window to process (everything before it is replayed).
+    /// Next window to process.
     pub window: u64,
     /// Steps executed when the snapshot was taken.
     pub steps: u64,
@@ -154,11 +166,13 @@ pub struct SessionSnapshot {
     pub deadline_misses: u64,
     /// Wall-clock µs spent stepping (accounting continuity only).
     pub wall_us: u64,
-    /// The application RNG's word position — verified after
-    /// fast-forward so silent RNG drift cannot survive recovery.
+    /// The application RNG's word position: restore seeks the RNG to it,
+    /// and the verifier requires re-execution to reach it.
     pub rng_word_pos: u64,
     /// Movement decode results so far, `(round, value)` pairs.
     pub movement_results: Vec<(u64, f64)>,
+    /// The session state restore installs (module docs).
+    pub state: SessionState,
     /// The cheap per-window step digest at the cursor
     /// ([`crate::session::Session::step_digest`]).
     pub step_digest: u64,
@@ -184,7 +198,7 @@ impl SessionSnapshot {
     /// checksum over header + body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
-            128 + 16 * self.movement_results.len() + DETECTOR_BYTES * self.detectors.len(),
+            1024 + 16 * self.movement_results.len() + DETECTOR_BYTES * self.detectors.len(),
         );
         self.encode_into(&mut out);
         out
@@ -226,6 +240,7 @@ impl SessionSnapshot {
             put_u64(out, round);
             put_f64(out, value);
         }
+        self.state.encode_into(out);
         put_u64(out, self.detectors.len() as u64);
         for svm in &self.detectors {
             put_u64(out, svm.num_features() as u64);
@@ -246,9 +261,11 @@ impl SessionSnapshot {
     /// positive duration of at most [`MAX_DURATION_S`] whose recording
     /// holds at most [`MAX_RECORDING_SAMPLES`] samples, a bit-error
     /// ratio in `[0, 1)`, a trace ring of at most [`MAX_TRACE_CAPACITY`]
-    /// events, a radio wait of at most [`MAX_IO_STALL_US`], and one
-    /// detector per node, each [`Node::DETECTION_FEATURES`] weights long
-    /// with every weight and the bias finite. [`Self::decode`] and
+    /// events, a radio wait of at most [`MAX_IO_STALL_US`], a cursor at
+    /// most the recording's window count, a state that fits the
+    /// deployment ([`SessionState::validate`]), and one detector per
+    /// node, each [`Node::DETECTION_FEATURES`] weights long with every
+    /// weight and the bias finite. [`Self::decode`] and
     /// [`crate::session::Session::restore`] both run it.
     ///
     /// # Errors
@@ -256,6 +273,12 @@ impl SessionSnapshot {
     /// [`SnapshotError::Invalid`] naming the first field that fails.
     pub fn validate(&self) -> Result<(), SnapshotError> {
         validate_spec(&self.spec)?;
+        let windows_total = (self.spec.duration_s * SAMPLE_RATE_HZ) as u64 / WINDOW as u64;
+        if self.window > windows_total {
+            return Err(SnapshotError::Invalid("cursor"));
+        }
+        self.state
+            .validate(self.spec.nodes, self.spec.electrodes, self.window)?;
         if self.detectors.len() != self.spec.nodes {
             return Err(SnapshotError::Invalid("detector count"));
         }
@@ -368,6 +391,7 @@ impl SessionSnapshot {
             let value = r.f64()?;
             movement_results.push((round, value));
         }
+        let state = SessionState::decode(&mut r, nodes, electrodes, window)?;
         // One detector per node (at most MAX_NODES, checked above):
         // check the count and every length before allocating, so a
         // forged field allocates nothing large.
@@ -397,6 +421,7 @@ impl SessionSnapshot {
             wall_us,
             rng_word_pos,
             movement_results,
+            state,
             step_digest,
             decisions_fnv,
             initial_binding,
@@ -466,14 +491,20 @@ fn put_binding(out: &mut Vec<u8>, b: &QueryBinding) {
     put_opt_str(out, b.query.as_deref());
 }
 
-struct Reader<'a> {
+/// A bounds-checked little-endian cursor over an image body.
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
-        if self.pos + n > self.bytes.len() {
+impl<'a> Reader<'a> {
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if n > self.remaining() {
             return Err(SnapshotError::Truncated { offset: self.pos });
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -481,30 +512,80 @@ impl Reader<'_> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn opt_str(&mut self) -> Result<Option<String>, SnapshotError> {
+    /// A `u64` counter as a `usize`.
+    pub(crate) fn count(&mut self) -> Result<usize, SnapshotError> {
+        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Invalid("counter"))
+    }
+
+    /// A presence byte then a fixed-size value read by `read` (zeros
+    /// when absent).
+    pub(crate) fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Option<T>, SnapshotError> {
+        let present = self.u8()?;
+        let value = read(self)?;
+        match present {
+            0 => Ok(None),
+            1 => Ok(Some(value)),
+            _ => Err(SnapshotError::Invalid("presence flag")),
+        }
+    }
+
+    /// Fails unless `n` records of at least `record_bytes` each fit in
+    /// what is left: the check that runs before allocating for them.
+    pub(crate) fn bound(&self, n: usize, record_bytes: usize) -> Result<(), SnapshotError> {
+        if n.saturating_mul(record_bytes) > self.remaining() {
+            return Err(SnapshotError::Truncated { offset: self.pos });
+        }
+        Ok(())
+    }
+
+    /// `n` records of `record_bytes` each, read by `read`, allocated
+    /// only once they are known to fit ([`Self::bound`]).
+    pub(crate) fn vec<T>(
+        &mut self,
+        n: usize,
+        record_bytes: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        self.bound(n, record_bytes)?;
+        (0..n).map(|_| read(self)).collect()
+    }
+
+    pub(crate) fn opt_str(&mut self) -> Result<Option<String>, SnapshotError> {
         if self.u8()? == 0 {
             return Ok(None);
         }
         let len = self.u64()? as usize;
-        // The length is attacker-controlled until the take() below
-        // bounds it against the actual buffer.
-        if len > self.bytes.len().saturating_sub(self.pos) {
-            return Err(SnapshotError::Truncated { offset: self.pos });
-        }
+        // The length is attacker-controlled until take() bounds it
+        // against the actual buffer.
         let s = std::str::from_utf8(self.take(len)?)
             .map_err(|_| SnapshotError::Invalid("non-UTF-8 query"))?;
         Ok(Some(s.to_string()))
@@ -522,6 +603,72 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::PeerState;
+    use crate::state::{HashImage, LinkImage, NodeImage};
+    use crate::system::MediumStats;
+    use scalo_net::reliable::FlowStats;
+
+    /// A state three windows into the horizon of a `nodes`-implant
+    /// session past detection, with one reliable link.
+    fn sample_state(nodes: usize) -> SessionState {
+        SessionState {
+            origin_detect: Some((30, 1)),
+            first_detect_window: Some(30),
+            failovers: 0,
+            hash_drops: 2,
+            window_clock: vec![160_000, 164_000, 168_500],
+            time_us: 172_500,
+            last_heartbeat_us: 172_000,
+            ber_spike_until_us: None,
+            channel_ber: 1e-4,
+            channel_word_pos: 1_234,
+            stats: MediumStats {
+                transmissions: 10,
+                heartbeats: 80,
+                ..MediumStats::default()
+            },
+            links: vec![LinkImage {
+                src: 1,
+                dst: 0,
+                flow: 1,
+                next_seq: 12,
+                delivered: vec![(0, 12)],
+                stats: FlowStats {
+                    data_packets: 12,
+                    delivered: 12,
+                    transmissions: 13,
+                    ..FlowStats::default()
+                },
+            }],
+            fault_plan: Vec::new(),
+            fault_log: Vec::new(),
+            membership_log: Vec::new(),
+            schedule_decisions: Vec::new(),
+            hash_width: 1,
+            nodes: (0..nodes)
+                .map(|i| NodeImage {
+                    alive: true,
+                    confirmed_ms: (i == 2).then_some(8.0),
+                    clock_offset_us: 0,
+                    view: vec![(172_000, PeerState::Alive); nodes],
+                    partitions: [(64 << 20, 0), (8 << 20, 0), (16 << 20, 0), (4 << 20, 0)],
+                    hashes: vec![
+                        HashImage {
+                            slot: 0,
+                            electrode: 0,
+                        },
+                        HashImage {
+                            slot: 2,
+                            electrode: 4,
+                        },
+                    ],
+                    hash_bytes: vec![0xab, 0xcd],
+                    stim_log: Vec::new(),
+                    stim_energy_uj: 0.0,
+                })
+                .collect(),
+        }
+    }
 
     fn sample() -> SessionSnapshot {
         let spec = SessionSpec::new(7, 0xfeed)
@@ -544,6 +691,7 @@ mod tests {
             wall_us: 123_456,
             rng_word_pos: 99,
             movement_results: vec![(0, 0.91), (1, -2.5)],
+            state: sample_state(3),
             step_digest: 0xdead_beef_cafe_f00d,
             decisions_fnv: 0x0123_4567_89ab_cdef,
             initial_binding,

@@ -82,6 +82,15 @@ impl StimEngine {
         Self::default()
     }
 
+    /// An engine that has issued `log` and drawn `total_energy_uj` (a
+    /// restored node's).
+    pub fn resume(log: Vec<(u64, StimCommand)>, total_energy_uj: f64) -> Self {
+        Self {
+            log,
+            total_energy_uj,
+        }
+    }
+
     /// Issues a command at `now_us`.
     ///
     /// # Errors

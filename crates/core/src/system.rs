@@ -20,6 +20,8 @@ use crate::config::ScaloConfig;
 use crate::fault::{Fault, FaultEvent, FaultPlan};
 use crate::membership::{MembershipConfig, MembershipEvent, MembershipView};
 use crate::node::Node;
+use crate::snapshot::SnapshotError;
+use crate::state::{seq_runs, seqs_of_runs, LinkImage, NodeImage, SessionState};
 use scalo_net::ber::ErrorChannel;
 use scalo_net::packet::{
     frame_into, receive, receive_ref, Header, Packet, PayloadKind, Received, ReceivedRef,
@@ -376,7 +378,8 @@ impl Scalo {
                 });
             }
             Fault::ClockDrift { node, offset_us } => {
-                self.nodes[node].clock_offset_us += offset_us;
+                let offset = &mut self.nodes[node].clock_offset_us;
+                *offset = offset.saturating_add(offset_us);
                 self.fault_log.push(FaultRecord {
                     at_us: self.time_us,
                     fault: ev.fault,
@@ -669,6 +672,140 @@ impl Scalo {
         }
         self.advance_us((airtime_ms * 1_000.0).round() as u64);
         out
+    }
+
+    /// The system's part of a state image: clock, channel, statistics,
+    /// links, fault plan and logs, and per node liveness, membership
+    /// view, clock offset, partition counters and the hash records
+    /// stamped at or after `cutoff_us`, placed on `clock` (the image's
+    /// window clock). Node images' run and stimulation fields are left
+    /// for the application to fill.
+    pub(crate) fn capture(&self, cutoff_us: u64, clock: Vec<u64>) -> SessionState {
+        let links = self
+            .links
+            .iter()
+            .map(|(&(src, dst, flow), link)| LinkImage {
+                src: src as u8,
+                dst: dst as u8,
+                flow,
+                next_seq: link.next_seq(),
+                delivered: seq_runs(link.delivered_window()),
+                stats: link.stats(),
+            })
+            .collect();
+        let nodes = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                let view = &self.views[i];
+                let mut hash_bytes = Vec::new();
+                let hashes = node.horizon_hashes(cutoff_us, &clock, &mut hash_bytes);
+                NodeImage {
+                    alive: self.alive[i],
+                    confirmed_ms: None,
+                    clock_offset_us: node.clock_offset_us,
+                    view: view
+                        .last_heard_us()
+                        .iter()
+                        .copied()
+                        .zip(view.states().iter().copied())
+                        .collect(),
+                    partitions: node.partition_counters(),
+                    hashes,
+                    hash_bytes,
+                    stim_log: Vec::new(),
+                    stim_energy_uj: 0.0,
+                }
+            })
+            .collect();
+        SessionState {
+            origin_detect: None,
+            first_detect_window: None,
+            failovers: 0,
+            hash_drops: 0,
+            window_clock: clock,
+            time_us: self.time_us,
+            last_heartbeat_us: self.last_heartbeat_us,
+            ber_spike_until_us: self.ber_spike_until_us,
+            channel_ber: self.channel.ber(),
+            channel_word_pos: self.channel.word_pos() as u64,
+            stats: self.stats,
+            links,
+            fault_plan: self.fault_plan.events().cloned().collect(),
+            fault_log: self.fault_log.clone(),
+            membership_log: self.membership_log.clone(),
+            schedule_decisions: self.schedule_decisions.clone(),
+            hash_width: self.nodes[0].hasher().wire_bytes() as u8,
+            nodes,
+        }
+    }
+
+    /// Installs the system part of a validated state image
+    /// ([`Self::capture`]) on this freshly built system, each node
+    /// prepared for `electrodes × windows_back` records. The TDMA
+    /// schedule is the one the last re-solve installed.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Invalid`] for a hash width other than this
+    /// system's hashers' or a duplicate window no link could hold.
+    pub(crate) fn install(
+        &mut self,
+        state: &SessionState,
+        electrodes: usize,
+        windows_back: usize,
+    ) -> Result<(), SnapshotError> {
+        let width = self.nodes[0].hasher().wire_bytes();
+        if usize::from(state.hash_width) != width {
+            return Err(SnapshotError::Invalid("hash width"));
+        }
+        self.links.clear();
+        for l in &state.links {
+            let link = ReliableLink::resume(
+                l.flow,
+                self.reliable_policy,
+                l.next_seq,
+                seqs_of_runs(&l.delivered),
+                l.stats,
+            )
+            .ok_or(SnapshotError::Invalid("delivered window"))?;
+            self.links
+                .insert((usize::from(l.src), usize::from(l.dst), l.flow), link);
+        }
+        self.time_us = state.time_us;
+        self.last_heartbeat_us = state.last_heartbeat_us;
+        self.ber_spike_until_us = state.ber_spike_until_us;
+        self.channel.set_ber(state.channel_ber);
+        self.channel.seek(u128::from(state.channel_word_pos));
+        self.stats = state.stats;
+        self.fault_plan = FaultPlan::new();
+        for e in &state.fault_plan {
+            self.fault_plan.schedule(e.at_us, e.fault.clone());
+        }
+        self.fault_log = state.fault_log.clone();
+        self.membership_log = state.membership_log.clone();
+        self.schedule_decisions = state.schedule_decisions.clone();
+        if let Some(last) = self.schedule_decisions.last() {
+            self.tdma = TdmaSchedule::custom(self.config.nodes, last.live.clone());
+        }
+        for (i, img) in state.nodes.iter().enumerate() {
+            self.alive[i] = img.alive;
+            let (heard, states) = img.view.iter().copied().unzip();
+            self.views[i] = MembershipView::from_parts(i, self.membership_cfg, heard, states);
+            let node = &mut self.nodes[i];
+            node.clock_offset_us = img.clock_offset_us;
+            node.install_records(
+                electrodes,
+                windows_back,
+                &img.partitions,
+                &img.hashes,
+                &img.hash_bytes,
+                width,
+                &state.window_clock,
+            );
+        }
+        Ok(())
     }
 
     /// Time in ms for `from` to put `bytes` of payload on the air under

@@ -13,9 +13,11 @@
 //! Recovery ([`recover_sessions`]) and time-travel forensics share one
 //! path: [`fold_log`] folds a scan into per-session histories (images,
 //! decision digests, shed/done markers), [`SessionLog::restore`]
-//! rebuilds a session from an image via deterministic re-execution
-//! ([`Session::restore`]), and [`replay`] re-runs it through the logged
-//! windows asserting every digest is byte-identical to the logged one.
+//! rebuilds a session from an image through the re-execution verifier
+//! ([`Session::restore_verified`]: replayed to the cursor, its state
+//! checked against the image's), and [`replay`] re-runs it through the
+//! logged windows asserting every digest is byte-identical to the
+//! logged one.
 //! A mismatch is a hard error — recovery never resumes a session whose
 //! decisions drifted from the logged run.
 //!
@@ -384,7 +386,8 @@ pub struct SessionLog<'a> {
 
 impl SessionLog<'_> {
     /// Restores session `id` from its latest image whose cursor is at or
-    /// before `window` ([`Session::restore`] digest-verifies it).
+    /// before `window`, through the re-execution verifier
+    /// ([`Session::restore_verified`]).
     ///
     /// # Errors
     ///
@@ -395,7 +398,7 @@ impl SessionLog<'_> {
         for image in self.images.iter().rev() {
             let snap = SessionSnapshot::decode(image)?;
             if snap.window <= window {
-                return Ok(Session::restore(&snap)?);
+                return Ok(Session::restore_verified(&snap)?);
             }
         }
         Err(DurabilityError::MissingSnapshot { session: id })

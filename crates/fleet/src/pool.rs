@@ -255,7 +255,28 @@ pub fn run_to_completion<J: WorkUnit>(jobs: Vec<J>, workers: usize) -> (Vec<J>, 
     (finished, report)
 }
 
+/// Sets the calling thread's timer slack to 1 µs, so a worker sleeping
+/// until a parked job's deadline wakes within microseconds of it rather
+/// than the kernel's default 50 µs slack later (Linux only; a no-op
+/// elsewhere). The sleep itself stays a sleep: nothing spins.
+fn set_fine_timer_slack() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_ulong};
+        extern "C" {
+            fn prctl(option: c_int, ...) -> c_int;
+        }
+        const PR_SET_TIMERSLACK: c_int = 29;
+        const SLACK_NS: c_ulong = 1_000;
+        // SAFETY: PR_SET_TIMERSLACK reads one unsigned long and changes
+        // only the calling thread's timer slack; std links libc.
+        // A failure leaves the default slack, which is only slower.
+        let _ = unsafe { prctl(PR_SET_TIMERSLACK, SLACK_NS) };
+    }
+}
+
 fn worker_loop<J: WorkUnit>(pool: &Pool<J>, me: usize) {
+    set_fine_timer_slack();
     // Jobs this worker parked, earliest deadline first. Only this worker
     // touches its heap; an expired entry goes back onto its own deque,
     // where any worker may steal it.

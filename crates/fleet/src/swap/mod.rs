@@ -26,9 +26,11 @@
 //!   time) and decodes it (SCSS checksum; seeded read-disturb faults are
 //!   retried up to [`SwapConfig::fault_retries`] times and then **fail
 //!   closed** — the burst is dropped, image and decisions intact). Its
-//!   pool job restores it: the image's detectors are installed and the
-//!   serving recording is re-executed to the cursor; the fault-in
-//!   latency lands in `fleet.swap_in_us` and a
+//!   pool job restores the state image (`Session::restore`): the
+//!   session state and detectors are installed, only the serving
+//!   windows from the cursor on are synthesized, and the installed
+//!   state must digest to the image's cursor; no window is stepped. The
+//!   fault-in latency lands in `fleet.swap_in_us` and a
 //!   [`Stage::SwapIn`](scalo_trace::Stage) span on traced sessions.
 //!
 //! Arrivals come from the open-loop generator ([`arrivals`]) quantized

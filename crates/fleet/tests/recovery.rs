@@ -309,3 +309,70 @@ fn quiet_windows_with_logging_stay_zero_alloc() {
     logger.finish().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Recovery restores through the re-execution verifier, so a logged
+/// checkpoint whose detectors or digest cursor were forged (and the
+/// image re-sealed) fails closed, while the untouched checkpoint
+/// recovers. A state restore could not tell forged detectors apart.
+#[test]
+fn recovery_rejects_forged_detectors_and_digest_cursor() {
+    use scalo_core::node::Node;
+    use scalo_core::snapshot::{fnv1a, SnapshotError};
+    use scalo_fleet::durable::recover_sessions;
+    use scalo_fleet::DurabilityError;
+    use scalo_storage::wal::{WalConfig, WalRecord, WalWriter};
+
+    let mut session = Session::new(SessionSpec::new(8, 0xd37).with_duration_s(0.4));
+    for _ in 0..90 {
+        session.step();
+    }
+    let clean = session.snapshot().encode();
+    let reseal = |mut bytes: Vec<u8>| {
+        let body = bytes.len() - 8;
+        let checksum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    };
+    // The origin's detector, negated: flip the sign of its weights and
+    // bias. The detectors (a count, then per node a length, the weights
+    // and the bias) precede the two digests and the checksum.
+    let per_detector = 8 * (Node::DETECTION_FEATURES + 2);
+    let first = clean.len() - 8 - 16 - per_detector * 2;
+    let mut negated = clean.clone();
+    for k in 0..=Node::DETECTION_FEATURES {
+        negated[first + 8 + 8 * k + 7] ^= 0x80;
+    }
+    let negated = reseal(negated);
+    // The step digest, off by one bit.
+    let mut cursor = clean.clone();
+    let at = clean.len() - 8 - 16;
+    cursor[at] ^= 1;
+    let cursor = reseal(cursor);
+    let recover = |tag: &str, snapshot: &[u8]| {
+        let dir = wal_dir(tag);
+        let mut wal = WalWriter::create(&dir, WalConfig::default()).unwrap();
+        wal.append(&WalRecord::Checkpoint {
+            session: 8,
+            snapshot: snapshot.to_vec(),
+        })
+        .unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let out = recover_sessions(&dir).map(|(sessions, _)| sessions.len());
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    };
+    for (tag, forged) in [("forged-detectors", &negated), ("forged-cursor", &cursor)] {
+        assert!(
+            matches!(
+                recover(tag, forged),
+                Err(DurabilityError::Snapshot(SnapshotError::DigestMismatch {
+                    session: 8,
+                    ..
+                }))
+            ),
+            "{tag}: recovery accepted a forged checkpoint"
+        );
+    }
+    assert_eq!(recover("clean-checkpoint", &clean).unwrap(), 1);
+}

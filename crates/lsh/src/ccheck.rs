@@ -67,6 +67,11 @@ impl CollisionChecker {
         self.len() == 0
     }
 
+    /// The real records, oldest first (placeholders excluded).
+    pub fn records(&self) -> impl Iterator<Item = &HashRecord> {
+        self.records.iter().skip(self.placeholders)
+    }
+
     /// The configured SRAM capacity in records.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -49,6 +49,19 @@ impl ErrorChannel {
         self.ber = ber;
     }
 
+    /// The RNG stream position in 32-bit words: with [`Self::ber`], the
+    /// whole state of the channel.
+    pub fn word_pos(&self) -> u128 {
+        self.rng.get_word_pos()
+    }
+
+    /// Moves the RNG stream to word `pos`, so the channel draws what a
+    /// channel that had consumed `pos` words would (a restored session
+    /// resumes its channel this way).
+    pub fn seek(&mut self, pos: u128) {
+        self.rng.set_word_pos(pos);
+    }
+
     /// Transmits `data` through the channel, returning the (possibly
     /// corrupted) bytes and the number of flipped bits.
     pub fn transmit(&mut self, data: &[u8]) -> (Vec<u8>, usize) {

@@ -34,7 +34,7 @@ pub const ACK_MAGIC: u8 = 0xA6;
 
 /// How many recently-delivered sequence numbers the receiver remembers
 /// for duplicate suppression.
-const DUP_WINDOW: usize = 4096;
+pub const DUP_WINDOW: usize = 4096;
 
 /// Retransmission policy of one reliable link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,6 +221,41 @@ impl ReliableLink {
     /// Statistics since construction.
     pub fn stats(&self) -> FlowStats {
         self.stats
+    }
+
+    /// The sequence number the next send will carry.
+    pub fn next_seq(&self) -> u16 {
+        self.next_seq
+    }
+
+    /// The sequence numbers the receiver remembers for duplicate
+    /// suppression, oldest first.
+    pub fn delivered_window(&self) -> impl Iterator<Item = u16> + '_ {
+        self.dup.order.iter().copied()
+    }
+
+    /// A link resumed mid-flow: [`Self::new`], then the sequence counter,
+    /// the receiver's remembered window (`delivered`, oldest first, as
+    /// [`Self::delivered_window`] lists it) and the statistics set to
+    /// what a link that had carried that traffic holds. `None` when
+    /// `delivered` repeats a sequence number or overruns
+    /// [`DUP_WINDOW`]: no link ever remembers such a window.
+    pub fn resume(
+        flow: u8,
+        policy: ReliablePolicy,
+        next_seq: u16,
+        delivered: impl IntoIterator<Item = u16>,
+        stats: FlowStats,
+    ) -> Option<Self> {
+        let mut link = Self::new(flow, policy);
+        link.next_seq = next_seq;
+        link.stats = stats;
+        for seq in delivered {
+            if link.dup.order.len() == DUP_WINDOW || !link.dup.insert(seq) {
+                return None;
+            }
+        }
+        Some(link)
     }
 
     /// Sends one packet reliably through `channel` at `rate_mbps`.

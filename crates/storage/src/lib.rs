@@ -41,3 +41,9 @@ pub const NVM_CAPACITY_BYTES: u64 = 128 * 1024 * 1024 * 1024;
 
 /// SC PE SRAM buffer size (§5: sized from the NVSim parameters).
 pub const SC_BUFFER_BYTES: usize = 24 * 1024;
+
+// Counts heap traffic in the lib test binary, so the allocation
+// assertions (the WAL's zero-allocation append path) can fail.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: scalo_alloc::CountingAllocator = scalo_alloc::CountingAllocator;

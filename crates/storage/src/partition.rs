@@ -97,6 +97,21 @@ impl Partition {
         self.failed_bytes
     }
 
+    /// Sets the configured capacity and the failed bytes, as a restored
+    /// node finds them (block failures and failover donations move
+    /// both).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless at least one byte stays writable
+    /// (`failed_bytes < capacity_bytes`), as [`Self::mark_failed`]
+    /// guarantees.
+    pub fn set_capacity_counters(&mut self, capacity_bytes: usize, failed_bytes: usize) {
+        assert!(failed_bytes < capacity_bytes, "no writable byte left");
+        self.capacity_bytes = capacity_bytes;
+        self.failed_bytes = failed_bytes;
+    }
+
     /// Writable capacity: configured bytes minus failed blocks.
     pub fn effective_capacity_bytes(&self) -> usize {
         self.capacity_bytes - self.failed_bytes
