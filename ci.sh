@@ -133,8 +133,8 @@ echo "swap smoke: $admitted admitted, resident peak $peak (budget 512)"
 
 echo "== swap smoke pin (fleet digest and swap traffic) =="
 # Every fault-in restores from its state image: the session state and
-# detectors are installed and only the serving windows from the cursor
-# on are synthesized; no window is re-executed. The run is a function
+# detectors are installed and only the windows of the burst it serves
+# are synthesized; no window is re-executed. The run is a function
 # of its seeds, so its fleet digest and its swap-in and swap-out counts
 # are fixed; a drift in any of them means the restore path or the swap
 # policy changed behaviour.
@@ -147,14 +147,26 @@ echo "swap smoke pinned: digest $swap_digest, $swap_ins swap-ins, $swap_outs swa
 
 echo "== swap-fault latency regression guard =="
 # Fault-in = modeled NVM read + SCSS decode + state restore (synthesis
-# of the windows from the cursor on + digest verify); the current model
-# books p99 well under 50 ms. Flag anything past 200 ms — that means
-# the restore path or the image tier regressed.
+# of the burst's windows + digest verify); the current model books p99
+# well under 50 ms. Flag anything past 200 ms — that means the restore
+# path or the image tier regressed.
 p99=$(sed -n 's/.*"swap_in_us":{"count":[0-9]*,"p50_us":[0-9]*,"p99_us":\([0-9]*\).*/\1/p' BENCH_fleet.json)
 test -n "$p99" || { echo "no swap_in_us histogram in BENCH_fleet.json" >&2; exit 1; }
 awk -v p="$p99" 'BEGIN {
   if (p + 0 > 200000) { printf "swap-fault p99 regressed: %d us (cap 200000)\n", p; exit 1 }
   printf "swap-fault p99: %d us (cap 200000)\n", p
+}'
+
+echo "== fleet-shaped fault-in deadline guard =="
+# The swap experiment's fleet-shaped trial (2x4 electrodes, 0.9 s) times
+# the exact decode + restore of a fault-in holding one 6-window burst,
+# as the swap fleet performs it. Its p99 must meet the paper's 10 ms
+# seizure response deadline.
+shape_p99=$(sed -n 's/.*"fleet_shape":{.*"restore_p99_us":\([0-9]*\).*/\1/p' BENCH_fleet.json)
+test -n "$shape_p99" || { echo "no fleet_shape restore_p99_us in BENCH_fleet.json" >&2; exit 1; }
+awk -v p="$shape_p99" 'BEGIN {
+  if (p + 0 > 10000) { printf "fleet-shaped fault-in p99 past the seizure deadline: %d us (cap 10000)\n", p; exit 1 }
+  printf "fleet-shaped fault-in decode + restore p99: %d us (cap 10000)\n", p
 }'
 
 echo "== query compilation + hot-reconfigure smoke =="

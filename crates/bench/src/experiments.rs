@@ -1398,6 +1398,10 @@ const SHAPE_RESIDENT: usize = 32;
 /// charge it their time slices.
 const SHAPE_WORKERS: usize = 2;
 
+/// Windows per arrival burst in the fleet-shaped swap trial's plan: what
+/// a fault-in synthesizes.
+const SHAPE_BURST: u32 = 6;
+
 /// The seizure response deadline a fault-in is held against, µs.
 const SEIZURE_DEADLINE_US: u64 = 10_000;
 
@@ -1406,10 +1410,11 @@ const SEIZURE_DEADLINE_US: u64 = 10_000;
 /// population's app mix) over [`SHAPE_RESIDENT`] resident slots, from a
 /// fixed bursty plan. The 1×1, 0.2 s sessions of the 10k smoke make
 /// fault-ins look cheaper than they are at this shape. Prints fault-in
-/// latency (modeled NVM read + decode + restore) against the 10 ms
-/// seizure deadline and the image size in bytes and 4 KB pages; returns
-/// the `"fleet_shape"` JSON object of the swap section. Its keys avoid
-/// the swap section's own (`swap_ins`, `digest_fnv`, ...).
+/// latency (modeled NVM read + decode + a restore holding one burst)
+/// against the 10 ms seizure deadline and the image size in bytes and
+/// 4 KB pages; returns the `"fleet_shape"` JSON object of the swap
+/// section. Its keys avoid the swap section's own (`swap_ins`,
+/// `digest_fnv`, ...).
 fn swap_fleet_shape() -> String {
     let specs: Vec<SessionSpec> = fleet_population(SHAPE_SESSIONS as usize)
         .into_iter()
@@ -1422,7 +1427,7 @@ fn swap_fleet_shape() -> String {
     let plan = ArrivalPlan::generate(&ArrivalConfig {
         horizon_us: 900_000,
         mean_gap_us: 150_000,
-        burst_windows: 6,
+        burst_windows: SHAPE_BURST,
         ..ArrivalConfig::new(SHAPE_SESSIONS, 0x2b4)
     });
     let report = swap_trial(
@@ -1447,9 +1452,9 @@ fn swap_fleet_shape() -> String {
         twin.id
     );
     // Exact fault-in cost off the pool: decode + restore of images taken
-    // at eight evenly spread cursors of eight sessions, one at a time.
-    // The image at half (past detection, a full collision horizon) gives
-    // the size.
+    // at eight evenly spread cursors of eight sessions, one at a time,
+    // each restore holding one burst as the fleet's does. The image at
+    // half (past detection, a full collision horizon) gives the size.
     let (mut fault_in_us, mut image_bytes) = (Vec::new(), 0);
     for spec in specs.iter().take(8) {
         let mut session = scalo_core::session::Session::new(spec.clone());
@@ -1464,7 +1469,9 @@ fn swap_fleet_shape() -> String {
             }
             let t0 = std::time::Instant::now();
             let snap = scalo_core::snapshot::SessionSnapshot::decode(&image).expect("valid image");
-            let restored = scalo_core::session::Session::restore(&snap).expect("restores");
+            let through = snap.window + u64::from(SHAPE_BURST);
+            let restored =
+                scalo_core::session::Session::restore_through(&snap, through).expect("restores");
             fault_in_us.push(t0.elapsed().as_micros() as u64);
             assert_eq!(restored.step_digest(), session.step_digest());
         }
@@ -1511,7 +1518,8 @@ fn swap_fleet_shape() -> String {
     println!(
         "(in the fleet, p50/p99 are the latency histogram's bucket upper bounds and the \
          max is exact, NVM read and worker contention included; decode + restore is timed \
-         exactly off the pool at cursors k/8 of 8 sessions; session {} matched its \
+         exactly off the pool at cursors k/8 of 8 sessions, holding one {SHAPE_BURST}-window \
+         burst as the fleet does; session {} matched its \
          never-swapped twin)",
         twin.id
     );
@@ -1896,7 +1904,6 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
 /// byte-identical to an uninterrupted baseline. Writes
 /// `BENCH_durability.json` at the repo root.
 pub fn durability(sessions: usize) {
-    use rand::{Rng, SeedableRng};
     let sessions = sessions.clamp(2, 64);
     header(&format!(
         "Durability: {sessions} sessions, write-ahead log + kill/recover/replay"
@@ -1968,16 +1975,14 @@ pub fn durability(sessions: usize) {
         f(wall_overhead_pct, 1),
     );
 
-    // Crash schedule: two seeded kills inside (30%, 60%) of the total
-    // window count — early enough that no session has finished, so the
-    // final report alone carries every session's digest.
-    let total_windows = baseline.windows;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5ca1_0dbe);
-    let kills = [
-        rng.gen_range(total_windows * 3 / 10..total_windows * 6 / 10),
-        rng.gen_range(total_windows * 3 / 10..total_windows * 6 / 10),
-    ];
+    // Crash schedule: two seeded kills, each where recovery restores a
+    // checkpoint and replays the windows committed after it.
+    let kills = kill_schedule(baseline.windows / sessions as u64);
     let (merged, recoveries) = kill_cycles(sessions, kills, "durability-crash");
+    assert!(
+        recoveries.iter().all(|r| r.windows_replayed > 0),
+        "every recovery replays committed windows: {recoveries:?}"
+    );
     let recovery_rows: Vec<Vec<String>> = recoveries
         .iter()
         .enumerate()
@@ -2042,6 +2047,25 @@ pub fn durability(sessions: usize) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write BENCH_durability.json: {e}"),
     }
+}
+
+/// The seeded kill points of [`durability`] for sessions of
+/// `per_session` windows each. [`kill_cycles`] serves one session after
+/// another, in id order, so a kill lands inside one session, and merged
+/// digests come from every run's report, finished sessions included.
+/// Each kill is drawn past that session's first checkpoint and the
+/// group commit after it, and before its next checkpoint: recovery
+/// restores the checkpoint and replays the committed windows. The first
+/// kill lands in session 0. The second run resumes session 0 at its
+/// replayed cursor, finishes it, and is killed the same way in session 1.
+fn kill_schedule(per_session: u64) -> [u64; 2] {
+    use rand::{Rng, SeedableRng};
+    let cadence = DurabilityConfig::new(std::path::PathBuf::new());
+    let replayed_to = cadence.checkpoint_every_windows + cadence.sync_every_records;
+    let band = replayed_to..(2 * cadence.checkpoint_every_windows).min(per_session);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5ca1_0dbe);
+    let first = rng.gen_range(band.clone());
+    [first, per_session - replayed_to + rng.gen_range(band)]
 }
 
 /// The crash schedule of [`durability`] for `sessions` patients: a
@@ -2536,10 +2560,12 @@ mod tests {
 
     /// The durability experiment's kill cycles are reproducible: two
     /// runs of one schedule recover the same sessions, replay the same
-    /// windows and scan the same log records, cycle by cycle.
+    /// windows and scan the same log records, cycle by cycle, and every
+    /// recovery replays.
     #[test]
     fn kill_cycles_repeat_run_to_run() {
-        let kills = [300, 250];
+        // `fleet_population` sessions run 0.6 s: 150 windows.
+        let kills = kill_schedule(150);
         let (digests_a, a) = kill_cycles(6, kills, "kill-cycles-a");
         let (digests_b, b) = kill_cycles(6, kills, "kill-cycles-b");
         assert_eq!(digests_a, digests_b);
@@ -2549,7 +2575,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(counts(&a), counts(&b));
-        assert!(a.iter().any(|r| r.windows_replayed > 0), "{a:?}");
+        assert!(a.iter().all(|r| r.windows_replayed > 0), "{a:?}");
     }
 
     #[test]

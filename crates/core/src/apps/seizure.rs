@@ -445,15 +445,17 @@ impl SeizureApp {
         }
     }
 
-    /// Starts a resumable run over `recording`: returns the state that
-    /// [`Self::step_window`] advances one 4 ms window at a time.
+    /// Starts a resumable run over the recording `config` describes:
+    /// returns the state that [`Self::step_window`] advances one 4 ms
+    /// window at a time. The sizes come from `config` alone, so no
+    /// sample need exist yet.
     ///
     /// # Panics
     ///
     /// Panics if the recording has fewer nodes than the system.
-    pub fn begin(&self, recording: &MultiSiteRecording) -> RunState {
+    pub fn begin(&self, config: &IeegConfig) -> RunState {
         let k = self.system.node_count();
-        assert!(recording.nodes.len() >= k, "recording too small");
+        assert!(config.nodes >= k, "recording too small");
         RunState {
             origin_detect: None,
             first_detect_window: None,
@@ -461,8 +463,8 @@ impl SeizureApp {
             confirmed: vec![None; k],
             hash_drops: 0,
             window: 0,
-            windows_total: recording.nodes[0].num_samples() / WINDOW,
-            electrodes: recording.nodes[0].num_channels(),
+            windows_total: num_samples(config) / WINDOW,
+            electrodes: config.electrodes_per_node,
             clock: vec![(usize::MAX, 0); clock_windows(self.system.config().ccheck_horizon_us)],
         }
     }
@@ -822,7 +824,7 @@ impl SeizureApp {
     ///
     /// Panics if the recording has fewer nodes than the system.
     pub fn run(&mut self, recording: &MultiSiteRecording) -> PropagationRun {
-        let mut st = self.begin(recording);
+        let mut st = self.begin(&recording.config);
         let mut ws = Workspace::new();
         while self.step_window(recording, &mut st, &mut ws) {}
         Self::snapshot(&st)

@@ -250,6 +250,10 @@ impl Cohort {
             }
             return;
         }
+        // A member stepped past its held range synthesizes the window.
+        for s in sessions.iter_mut() {
+            s.hold_next();
+        }
         let members = sessions.len();
         let start = Instant::now();
         let timed = sessions.iter().any(|s| s.trace().is_enabled());

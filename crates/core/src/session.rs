@@ -21,9 +21,7 @@ use crate::config::ScaloConfig;
 use crate::plan::{PlanError, ProgramPlan};
 use crate::snapshot::{fnv1a, Fnv64, SessionSnapshot, SnapshotError};
 use crate::workspace::Workspace;
-use scalo_data::ieeg::{
-    generate, generate_range, num_samples, IeegConfig, MultiSiteRecording, SeizureEvent,
-};
+use scalo_data::ieeg::{generate_range, num_samples, IeegConfig, MultiSiteRecording, SeizureEvent};
 use scalo_trace::{Recorder, SpanEvent, Stage};
 use std::time::{Duration, Instant};
 
@@ -293,8 +291,10 @@ impl SessionReport {
 pub struct Session {
     spec: SessionSpec,
     app: SeizureApp,
-    /// The serving recording from sample `recording_from` on: all of it
-    /// for a cold build, the windows from the cursor on for a restore.
+    /// The held serving samples `[recording_from, recording_from + n)`:
+    /// all of them for [`Self::new`], the windows from the cursor on for
+    /// [`Self::restore`], one burst's worth for a swap fleet's session
+    /// ([`Self::hold_through`]).
     recording: MultiSiteRecording,
     recording_from: usize,
     state: RunState,
@@ -324,18 +324,27 @@ impl Session {
     /// (synthesized alone, [`training_windows`]), and prepares the
     /// resumable run. This is the expensive part; admission control runs
     /// *before* it. The only place a session's detectors are trained.
+    /// Holds the whole serving recording.
     pub fn new(spec: SessionSpec) -> Self {
+        Self::new_through(spec, u64::MAX)
+    }
+
+    /// [`Self::new`] holding only serving windows `[0, through)`,
+    /// clamped to the end. A window past them is synthesized when it is
+    /// stepped; [`Self::hold_through`] moves the held range forward.
+    pub fn new_through(spec: SessionSpec, through: u64) -> Self {
         let mut app = patient_app(&spec);
         app.train_detectors(&training_windows(&patient_config(&spec, spec.seed ^ 1)));
-        Self::build(spec, app)
+        Self::build(spec, app, through)
     }
 
     /// The session around `app`, whose detectors are installed, at
-    /// window 0 of its whole serving recording.
-    fn build(spec: SessionSpec, mut app: SeizureApp) -> Self {
-        let recording = generate(&patient_config(&spec, spec.seed));
+    /// window 0, holding serving windows `[0, through)`.
+    fn build(spec: SessionSpec, mut app: SeizureApp, through: u64) -> Self {
+        let config = patient_config(&spec, spec.seed);
         app.use_reliable_transport = spec.use_reliable_transport;
-        let state = app.begin(&recording);
+        let state = app.begin(&config);
+        let recording = generate_range(&config, 0, held_end(&config, through));
         Self::assemble(spec, app, recording, 0, state)
     }
 
@@ -385,6 +394,57 @@ impl Session {
     /// fused block.
     pub(crate) fn recording(&self) -> RecordingView<'_> {
         RecordingView::new(&self.recording, self.recording_from)
+    }
+
+    /// The serving windows the session holds: the range
+    /// [`Self::hold_through`] moves.
+    pub fn held_windows(&self) -> std::ops::Range<usize> {
+        self.recording_from / WINDOW..self.held_to() / WINDOW
+    }
+
+    /// One past the last serving sample held.
+    fn held_to(&self) -> usize {
+        self.recording_from + self.recording.nodes.first().map_or(0, |n| n.num_samples())
+    }
+
+    /// Holds serving windows `[cursor, through)`, clamped to the end, and
+    /// nothing before the cursor: drops the held samples before the
+    /// cursor and synthesizes the windows from the end of the held range
+    /// up to `through`. Samples already held past `through` are kept.
+    /// Decisions never read what is held beyond the window being
+    /// stepped, so this moves memory and synthesis, never a digest. A
+    /// no-op on a finished session, or when the held range already
+    /// starts at the cursor and reaches `through`.
+    pub fn hold_through(&mut self, through: u64) {
+        if self.is_done() {
+            return;
+        }
+        // A step synthesizes its window first (`hold_next`), so the held
+        // range always reaches the cursor: `from <= to`.
+        let (from, to) = (self.state.window() * WINDOW, self.held_to());
+        let end = held_end(&self.recording.config, through).max(to);
+        if from == self.recording_from && end == to {
+            return;
+        }
+        let fresh = generate_range(&self.recording.config, to, end);
+        let keep = from - self.recording_from..to - self.recording_from;
+        for (node, new) in self.recording.nodes.iter_mut().zip(fresh.nodes) {
+            for (channel, tail) in node.channels.iter_mut().zip(new.channels) {
+                *channel = spliced(&channel[keep.clone()], tail);
+            }
+            node.seizure = spliced(&node.seizure[keep.clone()], new.seizure);
+        }
+        self.recording_from = from;
+    }
+
+    /// Holds the next window before it is stepped: synthesizes it on
+    /// demand when the held range ends before it, so stepping past a
+    /// burst's held range costs synthesis, never a panic.
+    pub(crate) fn hold_next(&mut self) {
+        let next = self.state.window();
+        if !self.is_done() && (next + 1) * WINDOW > self.held_to() {
+            self.hold_through(next as u64 + 1);
+        }
     }
 
     /// The application harness (the window engine borrows a member's
@@ -664,7 +724,7 @@ impl Session {
 
     /// Records an externally timed fault-in as a [`Stage::SwapIn`] span
     /// stamped with the next window to be stepped. The swap manager
-    /// calls this right after [`Self::restore`] — the restore that
+    /// calls this right after [`Self::restore_through`] — the restore that
     /// rebuilt this session (and with it the recorder) *is* the
     /// operation being timed, so the span duration comes from outside.
     /// No-op when untraced.
@@ -802,6 +862,17 @@ impl Session {
     /// [`SnapshotError::DigestMismatch`] when the installed state does
     /// not reproduce the image's digest cursor.
     pub fn restore(snap: &SessionSnapshot) -> Result<Self, SnapshotError> {
+        Self::restore_through(snap, u64::MAX)
+    }
+
+    /// [`Self::restore`] holding only serving windows `[cursor, through)`,
+    /// clamped to the end: a swap fault-in synthesizes the burst it is
+    /// about to serve, not every window the session has left.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::restore`].
+    pub fn restore_through(snap: &SessionSnapshot, through: u64) -> Result<Self, SnapshotError> {
         snap.validate()?;
         let spec = snap.spec.clone();
         let mut app = patient_app(&spec);
@@ -832,7 +903,8 @@ impl Session {
             .map(|&(r, v)| (r as usize, v))
             .collect();
         session.check_cursor(snap)?;
-        session.recording = generate_range(&session.recording.config, from, samples);
+        let to = held_end(&session.recording.config, through).max(from);
+        session.recording = generate_range(&session.recording.config, from, to);
         session.steps = snap.steps;
         session.deadline_misses = snap.deadline_misses;
         session.wall_us = snap.wall_us;
@@ -867,7 +939,7 @@ impl Session {
         base.query = snap.initial_binding.query.clone();
         let mut app = patient_app(&base);
         app.install_detectors(snap.detectors.clone());
-        let mut session = Self::build(base, app);
+        let mut session = Self::build(base, app, u64::MAX);
         for (window, binding) in &snap.reconfigures {
             while (session.state.window() as u64) < *window && !session.state.is_done() {
                 session.step_after(0);
@@ -966,6 +1038,27 @@ fn mismatch(snap: &SessionSnapshot, stored: u64, replayed: u64) -> SnapshotError
     }
 }
 
+/// The serving sample that window `through` starts at, clamped to the
+/// recording `config` describes.
+fn held_end(config: &IeegConfig, through: u64) -> usize {
+    usize::try_from(through)
+        .unwrap_or(usize::MAX)
+        .saturating_mul(WINDOW)
+        .min(num_samples(config))
+}
+
+/// `head` followed by `tail`, in a vector of exactly that length (`tail`
+/// itself when `head` is empty).
+fn spliced<T: Copy>(head: &[T], tail: Vec<T>) -> Vec<T> {
+    if head.is_empty() {
+        return tail;
+    }
+    let mut out = Vec::with_capacity(head.len() + tail.len());
+    out.extend_from_slice(head);
+    out.extend_from_slice(&tail);
+    out
+}
+
 /// The session's synthetic recording: one seizure propagating across
 /// every implant, seeded per patient.
 fn patient_config(spec: &SessionSpec, seed: u64) -> IeegConfig {
@@ -993,6 +1086,7 @@ fn patient_app(spec: &SessionSpec) -> SeizureApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalo_data::ieeg::generate;
 
     // Counts heap traffic so a test can bound what a cutover allocates.
     #[global_allocator]

@@ -20,9 +20,10 @@
 //! clock) is rejected as [`SnapshotError::Invalid`].
 //!
 //! [`crate::session::Session::restore`] installs the state and
-//! synthesizes only the serving windows from the cursor on: it never
-//! steps a window, never synthesizes the training recording and never
-//! trains. It then checks that the installed state digests to the
+//! synthesizes only the serving windows from the cursor on (a swap
+//! fault-in, [`crate::session::Session::restore_through`], only the
+//! burst it serves): it never steps a window, never synthesizes the
+//! training recording and never trains. It then checks that the installed state digests to the
 //! image's digest cursor. Signal windows before the cursor are not in
 //! the image (the NVM signal ring would be most of its bytes); a
 //! restored node re-derives one on read from the seekable generator.

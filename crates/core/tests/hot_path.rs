@@ -55,7 +55,7 @@ fn trained_app(seed: u64) -> SeizureApp {
 fn steady_state_windows_perform_zero_allocations() {
     let quiet = recording(7, 0.4, vec![]);
     let mut app = trained_app(7);
-    let mut st = app.begin(&quiet);
+    let mut st = app.begin(&quiet.config);
     let mut ws = Workspace::new();
     let windows_total = st.windows_total();
     assert!(windows_total >= 50, "need a long steady state");
@@ -93,7 +93,7 @@ fn steady_state_windows_perform_zero_allocations() {
 fn traced_steady_state_windows_perform_zero_allocations() {
     let quiet = recording(13, 0.4, vec![]);
     let mut app = trained_app(13);
-    let mut st = app.begin(&quiet);
+    let mut st = app.begin(&quiet.config);
     let mut ws = Workspace::new();
     // Small enough that the ring wraps mid-run: overflow recycling is
     // part of the claim.
@@ -130,7 +130,7 @@ fn traced_steady_state_windows_perform_zero_allocations() {
 fn seizure_session_allocations_stay_bounded() {
     let rec = recording(42, 0.9, vec![SeizureEvent::uniform(0.25, 0.6, 0, 2, 0.0)]);
     let mut app = trained_app(42);
-    let mut st = app.begin(&rec);
+    let mut st = app.begin(&rec.config);
     let mut ws = Workspace::new();
     let windows_total = st.windows_total();
 
@@ -182,7 +182,7 @@ fn reused_workspace_does_not_leak_across_sessions() {
     // exchange, DTW confirmation all write into it).
     let mut ws = Workspace::new();
     let mut app_a = trained_app(42);
-    let mut st_a = app_a.begin(&rec_a);
+    let mut st_a = app_a.begin(&rec_a.config);
     while app_a.step_window(&rec_a, &mut st_a, &mut ws) {}
     assert!(
         SeizureApp::snapshot(&st_a).origin_detect_window.is_some(),
@@ -192,12 +192,12 @@ fn reused_workspace_does_not_leak_across_sessions() {
     // Session B on the dirty workspace vs. an identical twin on a
     // fresh one: decisions must match exactly.
     let mut app_dirty = trained_app(99);
-    let mut st_dirty = app_dirty.begin(&rec_b);
+    let mut st_dirty = app_dirty.begin(&rec_b.config);
     while app_dirty.step_window(&rec_b, &mut st_dirty, &mut ws) {}
 
     let mut fresh_ws = Workspace::new();
     let mut app_fresh = trained_app(99);
-    let mut st_fresh = app_fresh.begin(&rec_b);
+    let mut st_fresh = app_fresh.begin(&rec_b.config);
     while app_fresh.step_window(&rec_b, &mut st_fresh, &mut fresh_ws) {}
 
     assert_eq!(
@@ -217,7 +217,7 @@ fn stepped_workspace_run_matches_monolithic_run() {
     assert_eq!(rec.nodes[0].num_samples() % WINDOW, 0);
 
     let mut stepped = trained_app(11);
-    let mut st = stepped.begin(&rec);
+    let mut st = stepped.begin(&rec.config);
     let mut ws = Workspace::new();
     while stepped.step_window(&rec, &mut st, &mut ws) {}
 

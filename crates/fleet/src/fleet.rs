@@ -500,6 +500,8 @@ struct GroupJob {
     sessions: Vec<Session>,
     /// A member to build or restore first (groups of one only).
     start: Option<Start>,
+    /// Whether the members are in memory and hold the burst's windows.
+    held: bool,
     /// Windows left in this arrival's burst.
     burst: u64,
     /// Scratch for groups of two or more; a group of one steps on its
@@ -518,16 +520,35 @@ struct GroupJob {
 }
 
 impl GroupJob {
-    /// Brings the `start` member into memory. `false` when its restore
-    /// failed closed (its replay drifted from its digests).
+    /// Once, before the first window: brings the `start` member into
+    /// memory and makes every member hold the windows of its burst and
+    /// nothing it has served ([`Session::hold_through`]). A build or
+    /// fault-in synthesizes only the burst; a resident member drops its
+    /// last burst and synthesizes this one. This runs on the worker, so
+    /// synthesis stays parallel. `false` when the start member's restore
+    /// failed closed (its state disagreed with its digests).
     fn materialize(&mut self) -> bool {
-        let Some(start) = self.start.take() else {
+        if std::mem::replace(&mut self.held, true) {
             return true;
-        };
+        }
+        if let Some(start) = self.start.take() {
+            if !self.bring_in(start) {
+                return false;
+            }
+        }
+        for s in self.sessions.iter_mut() {
+            s.hold_through(s.window().saturating_add(self.burst));
+        }
+        true
+    }
+
+    /// Builds or restores `start` holding this burst's windows, and
+    /// appends it to the members. `false` when its restore failed closed.
+    fn bring_in(&mut self, start: Start) -> bool {
         let (shared, t0) = (&*self.shared, Instant::now());
         let session = match start {
             Start::Build(spec) => {
-                let session = Session::new(spec);
+                let session = Session::new_through(spec, self.burst);
                 let build_us = t0.elapsed().as_micros() as u64;
                 if let Some(h) = &shared.cold_build_us {
                     h.observe(build_us);
@@ -535,20 +556,22 @@ impl GroupJob {
                 shared.log(|logger| logger.log_admit(&session));
                 session
             }
-            Start::FaultIn { snap, pre_us } => match Session::restore(&snap) {
-                Ok(mut session) => {
-                    let total_us = pre_us + t0.elapsed().as_micros() as u64;
-                    if let Some(h) = &shared.swap_in_us {
-                        h.observe(total_us);
+            Start::FaultIn { snap, pre_us } => {
+                match Session::restore_through(&snap, snap.window.saturating_add(self.burst)) {
+                    Ok(mut session) => {
+                        let total_us = pre_us + t0.elapsed().as_micros() as u64;
+                        if let Some(h) = &shared.swap_in_us {
+                            h.observe(total_us);
+                        }
+                        session.note_swapped_in(total_us.saturating_mul(1_000));
+                        session
                     }
-                    session.note_swapped_in(total_us.saturating_mul(1_000));
-                    session
+                    Err(_) => {
+                        self.failed = Some(snap.spec.id);
+                        return false;
+                    }
                 }
-                Err(_) => {
-                    self.failed = Some(snap.spec.id);
-                    return false;
-                }
-            },
+            }
         };
         self.sessions.push(session);
         true
@@ -1243,6 +1266,7 @@ impl Fleet {
             engine: Cohort::new(),
             sessions,
             start,
+            held: false,
             burst: u64::from(burst),
             failed: None,
             reconfigure,

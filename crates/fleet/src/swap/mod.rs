@@ -26,12 +26,19 @@
 //!   time) and decodes it (SCSS checksum; seeded read-disturb faults are
 //!   retried up to [`SwapConfig::fault_retries`] times and then **fail
 //!   closed** — the burst is dropped, image and decisions intact). Its
-//!   pool job restores the state image (`Session::restore`): the
-//!   session state and detectors are installed, only the serving
-//!   windows from the cursor on are synthesized, and the installed
-//!   state must digest to the image's cursor; no window is stepped. The
-//!   fault-in latency lands in `fleet.swap_in_us` and a
+//!   pool job restores the state image holding only the arrival's burst
+//!   (`Session::restore_through(snap, cursor + burst)`): the session
+//!   state and detectors are installed, only the burst's serving
+//!   windows are synthesized, and the installed state must digest to
+//!   the image's cursor; no window is stepped. The fault-in latency
+//!   lands in `fleet.swap_in_us` and a
 //!   [`Stage::SwapIn`](scalo_trace::Stage) span on traced sessions.
+//! * **Burst-sized residency** — a session holds only the windows of the
+//!   burst it is serving: a cold build synthesizes its first burst
+//!   (`Session::new_through`), and a resident session drops what it has
+//!   served and synthesizes its next burst before stepping it
+//!   (`Session::hold_through`), all on the pool's workers. Closed
+//!   batches build and hold whole recordings at submit.
 //!
 //! Arrivals come from the open-loop generator ([`arrivals`]) quantized
 //! into epochs; the coordinator applies admissions, evictions, and
