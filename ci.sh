@@ -212,6 +212,21 @@ awk -v s="$speedup" -v f="$floor" -v i="$isa" 'BEGIN {
   printf "batched filter+FFT speedup: %sx (floor %sx on %s lane)\n", s, f, i
 }'
 
+echo "== iEEG synthesis guard (ns per sample over the sin floor) =="
+# The kernels run above also times generate_range over a 6-window burst
+# at 2x4 and at 1x96 electrodes, and this host's sin per call, each the
+# minimum of its reps. A sample sums seven oscillators, so ns/sample over
+# 7 x sin ns is the synthesis cost over the sin calls it cannot avoid;
+# both parts are timed on the runner, so the ratio carries across hosts.
+# The chunked, oscillator-major kernel read 1.11-1.28 and the per-sample
+# loop it replaced 1.59-1.82 (2-vCPU KVM guest); the cap sits between.
+sin_ratio=$(sed -n 's/.*"synthesis":{[^}]*"sin_ratio":\([0-9.]*\).*/\1/p' BENCH_kernels.json)
+test -n "$sin_ratio" || { echo "no synthesis row in BENCH_kernels.json" >&2; exit 1; }
+awk -v r="$sin_ratio" 'BEGIN {
+  if (r + 0 > 1.45) { printf "iEEG synthesis regressed: %.3fx the 7-sin floor per sample (cap 1.45x)\n", r; exit 1 }
+  printf "iEEG synthesis: %.3fx the 7-sin floor per sample (cap 1.45x)\n", r
+}'
+
 echo "== trace smoke (span attribution + chrome://tracing export) =="
 # The binary itself asserts attribution invariants and JSON validity;
 # here we only check the artifact landed and is non-empty.

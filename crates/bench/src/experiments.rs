@@ -12,7 +12,7 @@ use scalo_core::membership::MembershipEvent;
 use scalo_core::plan::{resolve_budget, PlanConfig};
 use scalo_core::session::SessionSpec;
 use scalo_core::ScaloConfig;
-use scalo_data::ieeg::{generate as gen_ieeg, IeegConfig, SeizureEvent};
+use scalo_data::ieeg::{generate as gen_ieeg, generate_range, IeegConfig, SeizureEvent};
 use scalo_data::spikes::{generate as gen_spikes, SpikeConfig};
 use scalo_fleet::{
     AdmissionEvent, AdmitError, ArrivalConfig, ArrivalPlan, DurabilityConfig, Fleet, FleetConfig,
@@ -1480,7 +1480,8 @@ fn swap_fleet_shape() -> String {
     let exact = |q: f64| fault_in_us[((fault_in_us.len() - 1) as f64 * q).round() as usize];
     let (p50, p99) = (exact(0.5), exact(0.99));
     let image_pages = image_bytes.div_ceil(scalo_storage::PAGE_BYTES);
-    let q = &report.swap_in_us;
+    let (q, cpu) = (&report.swap_in_us, &report.swap_in_cpu_us);
+    let (build, build_cpu) = (&report.cold_build_us, &report.cold_build_cpu_us);
     println!(
         "\n-- fleet-shaped trial: {SHAPE_SESSIONS} sessions of 2×4 electrodes, 0.9 s, \
          over {SHAPE_RESIDENT} slots, {SHAPE_WORKERS} workers --"
@@ -1501,6 +1502,17 @@ fn swap_fleet_shape() -> String {
                 format!("≤{} / ≤{} / {}", q.p50_us, q.p99_us, q.max_us),
             ],
             vec![
+                "in the fleet: fault-in CPU p99 / max, µs".into(),
+                format!("≤{} / {}", cpu.p99_us, cpu.max_us),
+            ],
+            vec![
+                "in the fleet: cold build wall / CPU p99, max, µs".into(),
+                format!(
+                    "≤{} / ≤{}, {} / {}",
+                    build.p99_us, build_cpu.p99_us, build.max_us, build_cpu.max_us
+                ),
+            ],
+            vec![
                 "decode + restore p50 / p99, µs".into(),
                 format!("{p50} / {p99}"),
             ],
@@ -1517,7 +1529,9 @@ fn swap_fleet_shape() -> String {
     );
     println!(
         "(in the fleet, p50/p99 are the latency histogram's bucket upper bounds and the \
-         max is exact, NVM read and worker contention included; decode + restore is timed \
+         max is exact, NVM read and worker contention included; CPU is the thread CPU \
+         time of the same spans, so wall far above CPU means preempted, not slow; decode + \
+         restore is timed \
          exactly off the pool at cursors k/8 of 8 sessions, holding one {SHAPE_BURST}-window \
          burst as the fleet does; session {} matched its \
          never-swapped twin)",
@@ -1527,7 +1541,9 @@ fn swap_fleet_shape() -> String {
         "{{\"sessions\":{SHAPE_SESSIONS},\"nodes\":2,\"electrodes\":4,\"duration_s\":0.9,\
          \"resident_budget\":{SHAPE_RESIDENT},\"windows\":{},\"cold_builds\":{},\
          \"evictions\":{},\"fault_ins\":{},\"fault_in_p50_us\":{},\"fault_in_p99_us\":{},\
-         \"fault_in_max_us\":{},\"restore_p50_us\":{p50},\"restore_p99_us\":{p99},\
+         \"fault_in_max_us\":{},\"fault_in_cpu_p99_us\":{},\"fault_in_cpu_max_us\":{},\
+         \"cold_build_p99_us\":{},\"cold_build_max_us\":{},\"cold_build_cpu_p99_us\":{},\
+         \"cold_build_cpu_max_us\":{},\"restore_p50_us\":{p50},\"restore_p99_us\":{p99},\
          \"deadline_us\":{SEIZURE_DEADLINE_US},\
          \"image_bytes\":{image_bytes},\"image_pages\":{image_pages},\"fleet_digest\":\"{:016x}\"}}",
         report.windows,
@@ -1537,6 +1553,12 @@ fn swap_fleet_shape() -> String {
         q.p50_us,
         q.p99_us,
         q.max_us,
+        cpu.p99_us,
+        cpu.max_us,
+        build.p99_us,
+        build.max_us,
+        build_cpu.p99_us,
+        build_cpu.max_us,
         report.digest_fnv,
     )
 }
@@ -2235,6 +2257,90 @@ fn min_time_us(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
     (best, check)
 }
 
+/// The iEEG synthesis row of the kernel microbenchmark: what
+/// [`generate_range`] costs per electrode sample against the `sin` calls
+/// it cannot avoid (seven per sample, one per background oscillator).
+pub struct SynthesisRow {
+    /// Minimum ns per electrode sample over a burst of 2×4 electrodes.
+    pub ns_per_sample_2x4: f64,
+    /// The same over a burst of 1×96 electrodes.
+    pub ns_per_sample_1x96: f64,
+    /// Minimum ns per `f64::sin` call of this host's libm, over the
+    /// oscillator arguments such a burst computes, called independently.
+    pub sin_ns: f64,
+}
+
+impl SynthesisRow {
+    /// Oscillators summed per electrode sample.
+    const SINS_PER_SAMPLE: f64 = 7.0;
+
+    /// ns per sample over the floor of seven `sin` calls, at the slower
+    /// shape: a ratio of two times measured on one host, so it compares
+    /// across hosts where neither time does.
+    pub fn sin_ratio(&self) -> f64 {
+        self.ns_per_sample_2x4.max(self.ns_per_sample_1x96) / (Self::SINS_PER_SAMPLE * self.sin_ns)
+    }
+}
+
+/// Windows of one synthesis burst (a swap fleet's arrival burst).
+const SYNTHESIS_BURST_WINDOWS: usize = 6;
+
+/// A 0.3 s recording of `nodes`×`electrodes` with a seizure from 0.1 s,
+/// and the range of one burst before it (windows 6..12 of 75), where
+/// seven `sin` calls per sample are the whole floor.
+fn synthesis_burst(nodes: usize, electrodes: usize) -> (IeegConfig, usize, usize) {
+    let cfg = IeegConfig {
+        nodes,
+        electrodes_per_node: electrodes,
+        duration_s: 0.3,
+        seizures: vec![SeizureEvent::uniform(0.1, 0.15, 0, nodes, 0.01)],
+        seed: 0x5eed,
+        ..Default::default()
+    };
+    let from = 6 * WINDOW_SAMPLES;
+    (cfg, from, from + SYNTHESIS_BURST_WINDOWS * WINDOW_SAMPLES)
+}
+
+/// Times [`SynthesisRow`]'s three figures, each the minimum of `reps`.
+/// The three are timed in turn within each rep, so every minimum comes
+/// from the same spells of host speed and the ratio stays put when the
+/// host's clock or its neighbours change mid-run.
+fn synthesis_row(reps: usize) -> SynthesisRow {
+    let (_, from, to) = synthesis_burst(1, 1);
+    let args: Vec<f64> = (3..=9)
+        .flat_map(|oct| {
+            let omega = std::f64::consts::TAU * 2f64.powi(oct);
+            (from..to).map(move |t| omega * (t as f64 / SAMPLE_RATE_HZ) + 1.0)
+        })
+        .collect();
+    let bursts = [synthesis_burst(2, 4), synthesis_burst(1, 96)];
+    let mut best_us = [f64::INFINITY; 3];
+    for _ in 0..reps.max(1) {
+        let (sin_us, _) = min_time_us(4, || {
+            std::hint::black_box(&args)
+                .iter()
+                .map(|x| x.sin())
+                .fold(0.0, |acc, y| acc + y)
+        });
+        best_us[0] = best_us[0].min(sin_us);
+        for ((cfg, from, to), best) in bursts.iter().zip(&mut best_us[1..]) {
+            let (us, _) = min_time_us(1, || {
+                generate_range(cfg, *from, *to).nodes[0].channels[0][0]
+            });
+            *best = best.min(us);
+        }
+    }
+    let ns_per_sample = |k: usize| {
+        let (cfg, from, to) = &bursts[k];
+        best_us[k + 1] * 1e3 / ((to - from) * cfg.nodes * cfg.electrodes_per_node) as f64
+    };
+    SynthesisRow {
+        ns_per_sample_2x4: ns_per_sample(0),
+        ns_per_sample_1x96: ns_per_sample(1),
+        sin_ns: best_us[0] * 1e3 / args.len() as f64,
+    }
+}
+
 /// Writes `BENCH_kernels.json` at the repo root. The `simd_isa` field
 /// records which dispatch level the batched kernels actually ran at
 /// (`SCALO_SIMD` clamps it), so a stored result is never mistaken for a
@@ -2243,6 +2349,7 @@ pub fn write_bench_kernels_json(
     reps: usize,
     channels: usize,
     stages: &[KernelStage],
+    synthesis: &SynthesisRow,
 ) -> std::io::Result<&'static str> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let rows = stages
@@ -2260,7 +2367,13 @@ pub fn write_bench_kernels_json(
         .join(",");
     let isa = scalo_signal::simd::SimdLevel::active().name();
     let body = format!(
-        "{{\"bench\":\"kernels\",\"simd_isa\":\"{isa}\",\"channels\":{channels},\"samples\":{WINDOW_SAMPLES},\"reps\":{reps},\"stages\":[{rows}]}}\n"
+        "{{\"bench\":\"kernels\",\"simd_isa\":\"{isa}\",\"channels\":{channels},\"samples\":{WINDOW_SAMPLES},\"reps\":{reps},\"stages\":[{rows}],\
+         \"synthesis\":{{\"ns_per_sample_2x4\":{:.2},\"ns_per_sample_1x96\":{:.2},\"sin_ns\":{:.3},\
+         \"sin_ratio\":{:.3}}}}}\n",
+        synthesis.ns_per_sample_2x4,
+        synthesis.ns_per_sample_1x96,
+        synthesis.sin_ns,
+        synthesis.sin_ratio(),
     );
     std::fs::write(path, body)?;
     Ok(path)
@@ -2531,7 +2644,18 @@ pub fn kernels(reps: usize, channels: usize) {
         .collect();
     table(&["stage", "per-channel µs", "batched µs", "speedup"], &rows);
 
-    match write_bench_kernels_json(reps, channels, &stages) {
+    let synthesis = synthesis_row(reps);
+    println!(
+        "\niEEG synthesis, a {SYNTHESIS_BURST_WINDOWS}-window burst (min of {reps} reps): \
+         {:.1} ns/sample at 2×4, {:.1} at 1×96; sin {:.2} ns/call; \
+         {:.2}x the floor of 7 sin calls per sample",
+        synthesis.ns_per_sample_2x4,
+        synthesis.ns_per_sample_1x96,
+        synthesis.sin_ns,
+        synthesis.sin_ratio()
+    );
+
+    match write_bench_kernels_json(reps, channels, &stages, &synthesis) {
         Ok(path) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write BENCH_kernels.json: {e}"),
     }

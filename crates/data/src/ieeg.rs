@@ -154,6 +154,21 @@ const PREAMBLE_DRAWS: usize = 9;
 /// ChaCha words per `f64` draw.
 const WORDS_PER_DRAW: u128 = 2;
 
+/// Oscillators in each electrode's background bank.
+const OSCILLATORS: usize = 7;
+
+/// The background bank's octaves: oscillator `k` runs at 2^`(3 + k)` Hz
+/// (8–512 Hz).
+const FIRST_OCTAVE: i32 = 3;
+
+/// Samples per chunk of the synthesis loop: the span whose sample times
+/// and oscillator arguments are computed once and shared by every
+/// electrode of every node.
+const CHUNK: usize = 240;
+
+/// Samples over which a seizure's amplitude ramps up (100 ms).
+const RAMP_SAMPLES: usize = (0.1 * SAMPLE_RATE_HZ) as usize;
+
 /// Samples per channel in the full recording `config` describes.
 pub fn num_samples(config: &IeegConfig) -> usize {
     (config.duration_s * SAMPLE_RATE_HZ) as usize
@@ -170,6 +185,17 @@ pub fn generate(config: &IeegConfig) -> MultiSiteRecording {
     generate_range(config, 0, num_samples(config))
 }
 
+/// One electrode's draws and its place in the shared ChaCha8 stream.
+struct Electrode {
+    /// Positioned at the electrode's next sample draw.
+    rng: ChaCha8Rng,
+    phases: [f64; OSCILLATORS],
+    /// Seizure phase jitter: electrodes at one site see the discharge
+    /// nearly in phase.
+    jitter: f64,
+    amp: f64,
+}
+
 /// Generates samples `from..to` of the recording `config` describes,
 /// bit-identical to that slice of [`generate`]: every channel and
 /// seizure mask holds `to - from` samples, the first being sample
@@ -179,8 +205,30 @@ pub fn generate(config: &IeegConfig) -> MultiSiteRecording {
 /// ChaCha8 stream in a fixed layout (per node, per electrode: the
 /// preamble draws, then one draw per sample of the full recording, two
 /// words each), so each electrode seeks to its preamble and then to
-/// sample `from`. The seizure ramp at `from` is the distance back to the
-/// start of the mask run `from` is in.
+/// sample `from`, and keeps its own generator positioned there. The
+/// seizure ramp at `from` is the distance back to the start of the mask
+/// run `from` is in.
+///
+/// A sample is `Σ_k amp_k·sin((2π·f_k)·t + phase_k)` over the octave
+/// bank (k = 3..9 in that order, summed from 0.0), scaled by half the
+/// background amplitude, plus white noise and, while seizing, the ramped
+/// spike-and-wave discharge. The loop walks the range in chunks of 240
+/// samples. Each chunk's sample times and the seven arguments
+/// `(2π·f_k)·t` are computed once and shared by every electrode of every
+/// node. Each electrode then sums its bank oscillator by oscillator over
+/// the chunk, so consecutive `sin` calls feed different sums and
+/// overlap, where a per-sample loop adds each call into one running sum
+/// before the next. The result is bit-identical to that per-sample
+/// loop, because every sample still sees the same operations on the
+/// same operands in the same order:
+/// - the oscillators are added in the same k order, onto 0.0;
+/// - Rust never contracts `a * b + c` into a fused multiply-add;
+/// - each electrode keeps its own generator, seeked to its own draws,
+///   so the chunk edges do not move a draw;
+/// - the ramp counts carry across chunks per node.
+///
+/// The scratch is a few stack arrays of one chunk (~20 KB); nothing but
+/// the output grows with the range.
 ///
 /// # Panics
 ///
@@ -195,17 +243,21 @@ pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteR
         from <= to && to <= samples,
         "range {from}..{to} outside 0..{samples}"
     );
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    for ev in &config.seizures {
+        assert!(ev.nodes <= config.nodes, "seizure lag table too small");
+    }
+    let seeded = ChaCha8Rng::seed_from_u64(config.seed);
     let electrode_words = (PREAMBLE_DRAWS + samples) as u128 * WORDS_PER_DRAW;
 
     let mut nodes = Vec::with_capacity(config.nodes);
+    // Per node: consecutive seizure samples just before the next one
+    // synthesized, i.e. how far into the current event the ramp is.
+    let mut into_event = Vec::with_capacity(config.nodes);
+    let mut electrodes = Vec::with_capacity(config.nodes * config.electrodes_per_node);
     for node in 0..config.nodes {
-        let mut channels = Vec::with_capacity(config.electrodes_per_node);
-
         // Seizure intervals `[lo, hi)` at this node.
         let mut runs = Vec::with_capacity(config.seizures.len());
         for ev in &config.seizures {
-            assert!(ev.nodes <= config.nodes, "seizure lag table too small");
             if let Some(onset) = ev.onset_at(node) {
                 let lo = (onset * SAMPLE_RATE_HZ) as usize;
                 let hi = (((onset + ev.duration_s) * SAMPLE_RATE_HZ) as usize).min(samples);
@@ -224,60 +276,89 @@ pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteR
         {
             run_start = lo;
         }
+        into_event.push(from - run_start);
+        nodes.push(NodeRecording {
+            channels: (0..config.electrodes_per_node)
+                .map(|_| Vec::with_capacity(to - from))
+                .collect(),
+            seizure: seizure_mask,
+        });
 
         for e in 0..config.electrodes_per_node {
             let preamble = (node * config.electrodes_per_node + e) as u128 * electrode_words;
+            let mut rng = seeded.clone();
             rng.set_word_pos(preamble);
-            // Octave oscillator bank for 1/f background: 8–512 Hz.
-            // Sub-8 Hz background is deliberately absent so the 3 Hz
-            // ictal discharge is spectrally separable (as it is in real
-            // iEEG, where delta-band power surges at seizure onset).
-            let bank: Vec<(f64, f64, f64)> = (3..=9)
-                .map(|oct| {
-                    let f = 2f64.powi(oct);
-                    let amp = 1.0 / (oct as f64).max(1.0);
-                    let phase = rng.gen::<f64>() * std::f64::consts::TAU;
-                    (f, amp, phase)
-                })
-                .collect();
-            // Per-electrode seizure phase jitter: electrodes at one site
-            // see the discharge nearly in phase.
+            let phases = std::array::from_fn(|_| rng.gen::<f64>() * std::f64::consts::TAU);
             let jitter = rng.gen::<f64>() * 0.002;
-            let elec_amp = 0.8 + 0.4 * rng.gen::<f64>();
+            let amp = 0.8 + 0.4 * rng.gen::<f64>();
             rng.set_word_pos(preamble + (PREAMBLE_DRAWS + from) as u128 * WORDS_PER_DRAW);
-
-            let mut ch = Vec::with_capacity(to - from);
-            // Consecutive seizure samples just before `t`: how far into
-            // the current event the ramp is, kept as a running count
-            // rather than re-scanned back from every sample.
-            let mut into_event = from - run_start;
-            for (t, &seizing) in (from..to).zip(&seizure_mask) {
-                let time_s = t as f64 / SAMPLE_RATE_HZ;
-                let mut v = 0.0;
-                for &(f, amp, phase) in &bank {
-                    v += amp * (std::f64::consts::TAU * f * time_s + phase).sin();
-                }
-                v *= config.background_amp / 2.0;
-                v += config.background_amp * 0.2 * (rng.gen::<f64>() - 0.5);
-
-                if seizing {
-                    // Ramp amplitude over the first 100 ms of the event.
-                    let ramp_len = (0.1 * SAMPLE_RATE_HZ) as usize;
-                    let ramp = (into_event as f64 / ramp_len as f64).min(1.0);
-                    let phase = ((time_s + jitter) * config.seizure_hz).fract();
-                    v += config.seizure_amp * elec_amp * ramp * spike_wave(phase);
-                    into_event += 1;
-                } else {
-                    into_event = 0;
-                }
-                ch.push(v);
-            }
-            channels.push(ch);
+            electrodes.push(Electrode {
+                rng,
+                phases,
+                jitter,
+                amp,
+            });
         }
-        nodes.push(NodeRecording {
-            channels,
-            seizure: seizure_mask,
-        });
+    }
+
+    // Octave oscillator bank for 1/f background: 8–512 Hz. Sub-8 Hz
+    // background is deliberately absent so the 3 Hz ictal discharge is
+    // spectrally separable (as it is in real iEEG, where delta-band
+    // power surges at seizure onset).
+    let mut omegas = [0.0; OSCILLATORS];
+    let mut amps = [0.0; OSCILLATORS];
+    for (k, (omega, amp)) in omegas.iter_mut().zip(&mut amps).enumerate() {
+        let oct = FIRST_OCTAVE + k as i32;
+        *omega = std::f64::consts::TAU * 2f64.powi(oct);
+        *amp = 1.0 / (oct as f64).max(1.0);
+    }
+    let mut times = [0.0; CHUNK];
+    let mut args = [[0.0; CHUNK]; OSCILLATORS];
+    let mut ramps = [0.0; CHUNK];
+    let mut sums = [0.0; CHUNK];
+    for t0 in (from..to).step_by(CHUNK) {
+        let n = CHUNK.min(to - t0);
+        let times = &mut times[..n];
+        for (i, time_s) in times.iter_mut().enumerate() {
+            *time_s = (t0 + i) as f64 / SAMPLE_RATE_HZ;
+        }
+        for (args, &omega) in args.iter_mut().zip(&omegas) {
+            for (arg, &time_s) in args[..n].iter_mut().zip(&*times) {
+                *arg = omega * time_s;
+            }
+        }
+        let node_electrodes = electrodes.chunks_mut(config.electrodes_per_node);
+        for ((rec, into_event), electrodes) in
+            nodes.iter_mut().zip(&mut into_event).zip(node_electrodes)
+        {
+            let mask = &rec.seizure[t0 - from..t0 - from + n];
+            for (ramp, &seizing) in ramps[..n].iter_mut().zip(mask) {
+                if seizing {
+                    *ramp = (*into_event as f64 / RAMP_SAMPLES as f64).min(1.0);
+                    *into_event += 1;
+                } else {
+                    *into_event = 0;
+                }
+            }
+            for (ch, el) in rec.channels.iter_mut().zip(electrodes.iter_mut()) {
+                let sums = &mut sums[..n];
+                sums.fill(0.0);
+                for ((args, &amp), &phase) in args.iter().zip(&amps).zip(&el.phases) {
+                    for (v, &arg) in sums.iter_mut().zip(&args[..n]) {
+                        *v += amp * (arg + phase).sin();
+                    }
+                }
+                for (i, v) in sums.iter_mut().enumerate() {
+                    *v *= config.background_amp / 2.0;
+                    *v += config.background_amp * 0.2 * (el.rng.gen::<f64>() - 0.5);
+                    if mask[i] {
+                        let phase = ((times[i] + el.jitter) * config.seizure_hz).fract();
+                        *v += config.seizure_amp * el.amp * ramps[i] * spike_wave(phase);
+                    }
+                }
+                ch.extend_from_slice(sums);
+            }
+        }
     }
     MultiSiteRecording {
         nodes,

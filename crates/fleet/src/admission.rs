@@ -5,8 +5,8 @@
 //! than refusal: an over-budget fleet misses every patient's deadlines
 //! instead of one patient's admission. The controller therefore tracks
 //! each admitted session's compute cost (electrode-windows per step,
-//! see `SessionSpec::cost_estimate`; refreshed from measured
-//! sim-time-per-wall-time as sessions run) against a fixed budget.
+//! see `SessionSpec::cost_estimate`, fixed at admission) against a
+//! fixed budget.
 //! A submission that does not fit may *shed* strictly lower-priority
 //! admitted sessions — lowest priority first, newest first within a
 //! priority — mirroring the membership layer's eviction idiom one level
@@ -298,15 +298,6 @@ impl AdmissionController {
     pub fn release(&mut self, id: u64) {
         self.admitted.remove(&id);
     }
-
-    /// Refreshes an admitted session's cost from a measured load (e.g.
-    /// windows of sim-time per wall-second); future offers see the
-    /// measured value instead of the estimate.
-    pub fn update_cost(&mut self, id: u64, measured_cost: f64) {
-        if let Some(e) = self.admitted.get_mut(&id) {
-            e.cost = measured_cost;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -406,13 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn release_and_remeasure_free_budget() {
+    fn release_frees_budget() {
         let mut ac = controller(8.0);
         assert!(ac.offer(1, 1, 8.0).admitted);
         assert!(!ac.offer(2, 1, 8.0).admitted);
         ac.release(1);
         assert!(ac.offer(2, 1, 8.0).admitted);
-        ac.update_cost(2, 2.0);
-        assert!(ac.offer(3, 1, 6.0).admitted, "re-measured cost freed room");
     }
 }

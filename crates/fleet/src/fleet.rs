@@ -421,12 +421,14 @@ fn admission_log_json(log: &[AdmissionEvent]) -> String {
 
 /// How a member not yet in memory enters its job: built cold at its
 /// first arrival, or restored from its decoded image (`pre_us`: the NVM
-/// read and decode time already spent on the fault-in).
+/// read and decode time already spent on the fault-in; `pre_cpu_us`:
+/// the CPU time of that read and decode).
 pub(crate) enum Start {
     Build(SessionSpec),
     FaultIn {
         snap: Box<SessionSnapshot>,
         pre_us: u64,
+        pre_cpu_us: u64,
     },
 }
 
@@ -449,6 +451,10 @@ struct Shared {
     /// Image-tier histograms (swap fleets only).
     cold_build_us: Option<Arc<Histogram>>,
     swap_in_us: Option<Arc<Histogram>>,
+    /// The same spans' thread CPU time: a span whose wall time far
+    /// exceeds it was preempted, not slow.
+    cold_build_cpu_us: Option<Arc<Histogram>>,
+    swap_in_cpu_us: Option<Arc<Histogram>>,
 }
 
 /// Runs `append` against a durable fleet's log (a no-op without one).
@@ -545,7 +551,12 @@ impl GroupJob {
     /// Builds or restores `start` holding this burst's windows, and
     /// appends it to the members. `false` when its restore failed closed.
     fn bring_in(&mut self, start: Start) -> bool {
-        let (shared, t0) = (&*self.shared, Instant::now());
+        let (shared, t0, cpu0) = (&*self.shared, Instant::now(), pool::thread_cpu_us());
+        let cpu_since = |pre_cpu_us: u64, h: &Option<Arc<Histogram>>| {
+            if let (Some(h), Some(cpu0), Some(cpu1)) = (h, cpu0, pool::thread_cpu_us()) {
+                h.observe(pre_cpu_us + cpu1.saturating_sub(cpu0));
+            }
+        };
         let session = match start {
             Start::Build(spec) => {
                 let session = Session::new_through(spec, self.burst);
@@ -553,25 +564,29 @@ impl GroupJob {
                 if let Some(h) = &shared.cold_build_us {
                     h.observe(build_us);
                 }
+                cpu_since(0, &shared.cold_build_cpu_us);
                 shared.log(|logger| logger.log_admit(&session));
                 session
             }
-            Start::FaultIn { snap, pre_us } => {
-                match Session::restore_through(&snap, snap.window.saturating_add(self.burst)) {
-                    Ok(mut session) => {
-                        let total_us = pre_us + t0.elapsed().as_micros() as u64;
-                        if let Some(h) = &shared.swap_in_us {
-                            h.observe(total_us);
-                        }
-                        session.note_swapped_in(total_us.saturating_mul(1_000));
-                        session
+            Start::FaultIn {
+                snap,
+                pre_us,
+                pre_cpu_us,
+            } => match Session::restore_through(&snap, snap.window.saturating_add(self.burst)) {
+                Ok(mut session) => {
+                    let total_us = pre_us + t0.elapsed().as_micros() as u64;
+                    if let Some(h) = &shared.swap_in_us {
+                        h.observe(total_us);
                     }
-                    Err(_) => {
-                        self.failed = Some(snap.spec.id);
-                        return false;
-                    }
+                    cpu_since(pre_cpu_us, &shared.swap_in_cpu_us);
+                    session.note_swapped_in(total_us.saturating_mul(1_000));
+                    session
                 }
-            }
+                Err(_) => {
+                    self.failed = Some(snap.spec.id);
+                    return false;
+                }
+            },
         };
         self.sessions.push(session);
         true
@@ -1126,6 +1141,8 @@ impl Fleet {
             cutover_us: m.histogram("fleet.reconfigure_cutover_us"),
             cold_build_us: tier_histogram("fleet.cold_build_us"),
             swap_in_us: tier_histogram("fleet.swap_in_us"),
+            cold_build_cpu_us: tier_histogram("fleet.cold_build_cpu_us"),
+            swap_in_cpu_us: tier_histogram("fleet.swap_in_cpu_us"),
         });
         let deferred_ctr = m.counter("fleet.arrivals_deferred");
         let dropped_ctr = m.counter("fleet.arrivals_dropped");

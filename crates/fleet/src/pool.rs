@@ -275,6 +275,38 @@ fn set_fine_timer_slack() {
     }
 }
 
+/// CPU time the calling thread has run, in µs, from
+/// `CLOCK_THREAD_CPUTIME_ID` (Linux only; `None` elsewhere or on
+/// failure). Beside a wall-clock span of the same thread, it tells a
+/// slow piece of work from one that was preempted.
+pub(crate) fn thread_cpu_us() -> Option<u64> {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_long};
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a live, writable `struct timespec` (two C
+        // longs on Linux); clock_gettime writes only it; std links libc.
+        if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
+            return None;
+        }
+        Some(u64::try_from(ts.tv_sec).ok()? * 1_000_000 + u64::try_from(ts.tv_nsec).ok()? / 1_000)
+    }
+    #[cfg(not(target_os = "linux"))]
+    None
+}
+
 fn worker_loop<J: WorkUnit>(pool: &Pool<J>, me: usize) {
     set_fine_timer_slack();
     // Jobs this worker parked, earliest deadline first. Only this worker

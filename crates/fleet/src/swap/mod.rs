@@ -31,7 +31,8 @@
 //!   state and detectors are installed, only the burst's serving
 //!   windows are synthesized, and the installed state must digest to
 //!   the image's cursor; no window is stepped. The fault-in latency
-//!   lands in `fleet.swap_in_us` and a
+//!   lands in `fleet.swap_in_us` (its thread CPU time in
+//!   `fleet.swap_in_cpu_us`) and a
 //!   [`Stage::SwapIn`](scalo_trace::Stage) span on traced sessions.
 //! * **Burst-sized residency** — a session holds only the windows of the
 //!   burst it is serving: a cold build synthesizes its first burst
@@ -54,7 +55,7 @@ use crate::fleet::{
     Residency, Start,
 };
 use crate::metrics::{Gauge, Histogram, MetricsRegistry};
-use crate::pool::PoolReport;
+use crate::pool::{self, PoolReport};
 use arrivals::{Arrival, ArrivalPlan};
 use scalo_core::session::SessionSpec;
 use scalo_core::snapshot::{fnv1a, Fnv64, SessionSnapshot};
@@ -282,6 +283,14 @@ pub struct SwapReport {
     /// Fault-in latency distribution (modeled NVM read + decode +
     /// restore).
     pub swap_in_us: LatencyQuantiles,
+    /// Fault-in thread CPU time (read + decode + restore; Linux only,
+    /// empty elsewhere). Far below [`Self::swap_in_us`] means the
+    /// fault-ins waited, preempted, rather than worked.
+    pub swap_in_cpu_us: LatencyQuantiles,
+    /// Cold-build wall time on the worker (`Session::new_through`).
+    pub cold_build_us: LatencyQuantiles,
+    /// The same cold builds' thread CPU time (Linux only).
+    pub cold_build_cpu_us: LatencyQuantiles,
     /// Eviction latency distribution (encode + modeled NVM program).
     pub swap_out_us: LatencyQuantiles,
     /// Per-window step latency distribution.
@@ -563,6 +572,9 @@ impl SwapFleet {
             nvm_image_bytes_peak: tier.image_bytes_gauge.peak(),
             nvm: tier.store.cost(),
             swap_in_us: quantiles("fleet.swap_in_us"),
+            swap_in_cpu_us: quantiles("fleet.swap_in_cpu_us"),
+            cold_build_us: quantiles("fleet.cold_build_us"),
+            cold_build_cpu_us: quantiles("fleet.cold_build_cpu_us"),
             swap_out_us: quantiles("fleet.swap_out_us"),
             step_us: quantiles("fleet.step_latency_us"),
             miss_rates: MissRates {
@@ -633,7 +645,7 @@ impl Fleet {
                 Start::Build(spec)
             }
             Residency::Swapped { decisions_fnv } => {
-                let Some((snap, pre_us)) = self.fault_in(id) else {
+                let Some((snap, pre_us, pre_cpu_us)) = self.fault_in(id) else {
                     self.metrics.counter("fleet.swap_fault_failures").incr();
                     self.table.get_mut(&id).expect("admitted").residency =
                         Residency::Swapped { decisions_fnv };
@@ -644,6 +656,7 @@ impl Fleet {
                 Start::FaultIn {
                     snap: Box::new(snap),
                     pre_us,
+                    pre_cpu_us,
                 }
             }
             _ => unreachable!("only parked sessions are brought in"),
@@ -727,11 +740,11 @@ impl Fleet {
     /// to the configured attempts; `None` = fail closed. Returns the
     /// snapshot and the µs spent (modeled NVM reads + decode). A decoded
     /// image is freed at once; a failed one stays on the device.
-    fn fault_in(&mut self, id: u64) -> Option<(SessionSnapshot, u64)> {
+    fn fault_in(&mut self, id: u64) -> Option<(SessionSnapshot, u64, u64)> {
         let tier = self.swap.as_mut().expect("image tier");
-        let mut pre_us = 0u64;
+        let (mut pre_us, mut pre_cpu_us) = (0u64, 0u64);
         for attempt in 0..=tier.cfg.fault_retries {
-            let t0 = Instant::now();
+            let (t0, cpu0) = (Instant::now(), pool::thread_cpu_us());
             let (bytes, cost) = tier
                 .store
                 .read(id)
@@ -739,10 +752,13 @@ impl Fleet {
             pre_us += cost.time_us as u64;
             let decoded = SessionSnapshot::decode(&bytes);
             pre_us += t0.elapsed().as_micros() as u64;
+            if let (Some(cpu0), Some(cpu1)) = (cpu0, pool::thread_cpu_us()) {
+                pre_cpu_us += cpu1.saturating_sub(cpu0);
+            }
             match decoded {
                 Ok(snap) => {
                     tier.store.remove(id).expect("just read");
-                    return Some((snap, pre_us));
+                    return Some((snap, pre_us, pre_cpu_us));
                 }
                 Err(_) if attempt < tier.cfg.fault_retries => {
                     self.metrics.counter("fleet.swap_fault_retries").incr();
