@@ -89,33 +89,6 @@ awk -v w="$wps1" 'BEGIN {
   printf "fleet 1-worker throughput: %.1f windows/s (floor 7900 = 4x the 1975.1 sleeping seed)\n", w
 }'
 
-echo "== cohort batching guard (digest parity + speedup floor) =="
-# The fleet experiment serves the population twice per worker count —
-# solo jobs and shape-twin cohorts — and asserts per-session decision
-# digests are byte-identical (a diverged run exits non-zero above).
-# Double-check the recorded verdict, then hold the 4-worker cohort
-# throughput floor: a cohort serves one parked radio wait for all its
-# members and fuses their signal kernels, so it must clear a multiple
-# of the 6751.2 win/s solo seed baseline. The kernel share of the win
-# scales with the SIMD lane, so the multiplier steps down on narrower
-# hosts.
-cohort_ok=$(sed -n 's/.*"cohort":{"digests_match":\(true\|false\).*/\1/p' BENCH_fleet.json)
-test "$cohort_ok" = "true" \
-  || { echo "cohort-batched decisions diverged from solo serving" >&2; exit 1; }
-cwps=$(sed -n 's/.*"workers":4,"solo_wps":[0-9.]*,"cohort_wps":\([0-9.]*\).*/\1/p' BENCH_fleet.json)
-test -n "$cwps" || { echo "no 4-worker cohort sweep entry in BENCH_fleet.json" >&2; exit 1; }
-fleet_isa=$(sed -n 's/.*"simd_isa":"\([a-z0-9]*\)".*/\1/p' BENCH_fleet.json)
-case "$fleet_isa" in
-  avx2) mult=1.5 ;;
-  sse2) mult=1.35 ;;
-  *)    mult=1.2 ;;
-esac
-awk -v c="$cwps" -v m="$mult" -v i="$fleet_isa" 'BEGIN {
-  floor = m * 6751.2
-  if (c + 0 < floor) { printf "cohort throughput below %.1fx floor (%s lane): %.1f < %.1f windows/s at 4 workers\n", m, i, c, floor; exit 1 }
-  printf "cohort 4-worker throughput: %.1f windows/s (floor %.1f = %.1fx solo seed, %s lane)\n", c, floor, m, i
-}'
-
 echo "== swap smoke (10k+ admitted sessions over a 512-slot resident set) =="
 # Runs after the fleet smoke so the "swap" section lands in the fresh
 # BENCH_fleet.json. The experiment itself asserts replay-by-seed (two
@@ -134,7 +107,7 @@ echo "swap smoke: $admitted admitted, resident peak $peak (budget 512)"
 echo "== swap smoke pin (fleet digest and swap traffic) =="
 # Every fault-in restores from its state image: the session state and
 # detectors are installed and only the windows of the burst it serves
-# are synthesized; no window is re-executed. The run is a function
+# are synthesized, a quantum at a time; no window is re-executed. The run is a function
 # of its seeds, so its fleet digest and its swap-in and swap-out counts
 # are fixed; a drift in any of them means the restore path or the swap
 # policy changed behaviour.
@@ -147,7 +120,7 @@ echo "swap smoke pinned: digest $swap_digest, $swap_ins swap-ins, $swap_outs swa
 
 echo "== swap-fault latency regression guard =="
 # Fault-in = modeled NVM read + SCSS decode + state restore (synthesis
-# of the burst's windows + digest verify); the current model books p99
+# of one quantum's windows + digest verify); the current model books p99
 # well under 50 ms. Flag anything past 200 ms — that means the restore
 # path or the image tier regressed.
 p99=$(sed -n 's/.*"swap_in_us":{"count":[0-9]*,"p50_us":[0-9]*,"p99_us":\([0-9]*\).*/\1/p' BENCH_fleet.json)
@@ -179,8 +152,6 @@ echo "== query compilation + hot-reconfigure smoke =="
 cargo run --release -p scalo-bench --bin experiments -- query
 grep -q '"query":{"catalog":\[' BENCH_fleet.json \
   || { echo "no query section in BENCH_fleet.json" >&2; exit 1; }
-# Anchored on the query object's own verdict (right after its catalog):
-# the cohort section carries a "digests_match" key of its own.
 grep -q '"query":{"catalog":\[[^]]*\],"digests_match":true' BENCH_fleet.json \
   || { echo "query-admitted digests diverged from spec twins" >&2; exit 1; }
 grep -q '"swap":{' BENCH_fleet.json \

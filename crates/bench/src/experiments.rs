@@ -909,27 +909,10 @@ fn fleet_population(sessions: usize) -> Vec<SessionSpec> {
 /// [`scalo_alloc::CountingAllocator`] as its global allocator — the
 /// `experiments` bin does — and reads 0.0 otherwise.
 pub fn fleet_trial(sessions: usize, workers: usize, quantum: usize) -> (FleetReport, f64) {
-    fleet_trial_with(sessions, workers, quantum, false)
-}
-
-/// [`fleet_trial`] with cohort batching on: sessions sharing a pipeline
-/// shape step as one fused lockstep job (one parked radio wait, one
-/// block hash, one FFT-plan walk per cohort window).
-pub fn fleet_trial_cohort(sessions: usize, workers: usize, quantum: usize) -> (FleetReport, f64) {
-    fleet_trial_with(sessions, workers, quantum, true)
-}
-
-fn fleet_trial_with(
-    sessions: usize,
-    workers: usize,
-    quantum: usize,
-    cohort: bool,
-) -> (FleetReport, f64) {
     let mut fl = Fleet::new(
         FleetConfig::new(workers)
             .with_quantum_steps(quantum)
-            .with_budget(16.0 * sessions as f64)
-            .with_cohort(cohort),
+            .with_budget(16.0 * sessions as f64),
     );
     for spec in fleet_population(sessions) {
         fl.submit(spec)
@@ -945,13 +928,10 @@ fn fleet_trial_with(
 /// allocations per window) to `BENCH_fleet.json` at the repo root.
 /// When `traced` is given, its report — whose metrics registry carries
 /// the per-stage `trace.stage.*.span_us` latency histograms — is
-/// embedded as a `"traced"` object. When `cohort` is given (a
-/// pre-rendered JSON object from the cohort sweep), it is embedded as
-/// the `"cohort"` section. Returns the path written.
+/// embedded as a `"traced"` object. Returns the path written.
 pub fn write_bench_fleet_json(
     reports: &[(FleetReport, f64)],
     traced: Option<&FleetReport>,
-    cohort: Option<&str>,
 ) -> std::io::Result<&'static str> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
     let allocs = reports
@@ -967,12 +947,9 @@ pub fn write_bench_fleet_json(
     let traced_field = traced
         .map(|r| format!(",\"traced\":{}", r.to_json()))
         .unwrap_or_default();
-    let cohort_field = cohort
-        .map(|c| format!(",\"cohort\":{c}"))
-        .unwrap_or_default();
     let isa = scalo_signal::simd::SimdLevel::active().name();
     let body = format!(
-        "{{\"bench\":\"fleet\",\"simd_isa\":\"{isa}\",\"allocs_per_window\":[{allocs}],\"sweep\":[{}]{cohort_field}{traced_field}}}\n",
+        "{{\"bench\":\"fleet\",\"simd_isa\":\"{isa}\",\"allocs_per_window\":[{allocs}],\"sweep\":[{}]{traced_field}}}\n",
         reports
             .iter()
             .map(|(r, _)| r.to_json())
@@ -1110,89 +1087,12 @@ pub fn fleet(sessions: usize) {
     table(&["event", "id", "detail"], &rows);
     assert!(rejected && admitted, "admission showcase regressed");
 
-    // Cohort batching: the same population served with shape-twin
-    // sessions fused into lockstep jobs — one parked radio wait, one
-    // block hash, one FFT-plan walk per cohort window. Decisions must stay
-    // byte-identical to solo serving at every worker count; the section
-    // lands in BENCH_fleet.json so CI can hold the speedup floor.
-    println!("\n-- cohort batching: fused shape-twin lockstep vs solo jobs --");
-    let solo8 = {
-        let (a, _) = fleet_trial(sessions, 8, 8);
-        let (b, _) = fleet_trial(sessions, 8, 8);
-        if b.windows_per_sec() > a.windows_per_sec() {
-            b
-        } else {
-            a
-        }
-    };
-    let solo_by_workers: Vec<&FleetReport> = reports
-        .iter()
-        .map(|(r, _)| r)
-        .chain(std::iter::once(&solo8))
-        .collect();
-    let mut occupancy: Vec<usize> = Vec::new();
-    let mut cohort_rows: Vec<(usize, f64, f64)> = Vec::new();
-    for (i, &w) in [1usize, 2, 4, 8].iter().enumerate() {
-        let (a, _) = fleet_trial_cohort(sessions, w, 8);
-        let (b, _) = fleet_trial_cohort(sessions, w, 8);
-        let fused = if b.windows_per_sec() > a.windows_per_sec() {
-            b
-        } else {
-            a
-        };
-        let solo = solo_by_workers[i];
-        assert!(
-            solo.sessions.len() == fused.sessions.len()
-                && solo
-                    .sessions
-                    .iter()
-                    .zip(&fused.sessions)
-                    .all(|(x, y)| x.id == y.id && x.digest == y.digest),
-            "cohort decisions diverged from solo serving at {w} workers"
-        );
-        if occupancy.is_empty() {
-            occupancy = fused.cohorts.clone();
-        }
-        cohort_rows.push((w, solo.windows_per_sec(), fused.windows_per_sec()));
-    }
-    let rows: Vec<Vec<String>> = cohort_rows
-        .iter()
-        .map(|(w, solo_wps, cohort_wps)| {
-            vec![
-                w.to_string(),
-                f(*solo_wps, 0),
-                f(*cohort_wps, 0),
-                f(cohort_wps / solo_wps.max(1e-9), 2),
-            ]
-        })
-        .collect();
-    table(&["workers", "solo win/s", "cohort win/s", "speedup"], &rows);
-    println!(
-        "cohort occupancy (sessions per pool job): {occupancy:?}; decisions identical to solo: yes"
-    );
-    let cohort_json = format!(
-        "{{\"digests_match\":true,\"occupancy\":[{}],\"sweep\":[{}]}}",
-        occupancy
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        cohort_rows
-            .iter()
-            .map(|(w, s, c)| format!(
-                "{{\"workers\":{w},\"solo_wps\":{s:.1},\"cohort_wps\":{c:.1},\"speedup\":{:.2}}}",
-                c / s.max(1e-9)
-            ))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-
     // One traced serving pass so BENCH_fleet.json also carries the
     // per-stage `trace.stage.*.span_us` latency histograms.
     let traced = traced_fleet_trial(sessions.min(8), 2);
     let spans: usize = traced.sessions.iter().map(|s| s.trace.len()).sum();
     println!("\ntraced serving pass: {spans} spans merged into the metrics registry");
-    match write_bench_fleet_json(&reports, Some(&traced), Some(&cohort_json)) {
+    match write_bench_fleet_json(&reports, Some(&traced)) {
         Ok(path) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write BENCH_fleet.json: {e}"),
     }
@@ -1399,7 +1299,7 @@ const SHAPE_RESIDENT: usize = 32;
 const SHAPE_WORKERS: usize = 2;
 
 /// Windows per arrival burst in the fleet-shaped swap trial's plan: what
-/// a fault-in synthesizes.
+/// a fault-in synthesizes (a merged burst holds one 8-window quantum).
 const SHAPE_BURST: u32 = 6;
 
 /// The seizure response deadline a fault-in is held against, µs.

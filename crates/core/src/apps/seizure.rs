@@ -477,7 +477,7 @@ impl SeizureApp {
     ///
     /// This runs the window engine's pre-pass ([`crate::cohort`]) over
     /// this one recording, then the window step on its lanes — the same
-    /// two halves a served session or a fleet cohort runs, minus the
+    /// two halves a served session or a cohort runs, minus the
     /// serving concerns (radio stall, window envelope, deadline).
     ///
     /// `ws` is the session's reusable scratch: quiet windows (no active

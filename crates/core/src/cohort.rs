@@ -1,18 +1,19 @@
 //! The window engine: every served window, solo or cohort-batched.
 //!
-//! A fleet serving many patients admits sessions whose per-window work
-//! is *structurally identical* — same deployment shape, same recording
-//! length, same decode cadence and transport — differing only in seed.
-//! [`Cohort::step_window`] steps any number of such sessions through one
-//! window at once, and a solo [`Session::step`] is the same engine over
-//! a cohort of one. The engine never waits: the modeled radio stall
-//! ([`SessionSpec::io_stall_us`]) is served by the caller **once** for
-//! the whole cohort — the implant radios are concurrent devices, so one
-//! wall-clock wait covers every member — and handed in as the window's
-//! `waited_ns` ([`Cohort::step_window_after`]). [`Session::step`] serves
-//! it as a sleep; a fleet parks the waiting job off its worker, so a
-//! waiting group holds no thread. Per window the engine then runs one
-//! **pre-pass**:
+//! Sessions whose per-window work is *structurally identical* — same
+//! deployment shape, same recording length, same decode cadence and
+//! transport — differ only in seed. [`Cohort::step_window`] steps any
+//! number of such sessions through one window at once, and a solo
+//! [`Session::step`] is the same engine over a cohort of one. The
+//! serving fleet steps every session on its own, one session per pool
+//! job: fusing patients across jobs bought no throughput (EXPERIMENTS.md,
+//! "Cohort lockstep, folded"). The engine never waits: the modeled radio
+//! stall ([`SessionSpec::io_stall_us`]) is served by the caller and
+//! handed in as the window's `waited_ns` ([`Session::step_after`]).
+//! [`Session::step`] serves it as a sleep; a fleet parks the waiting job
+//! off its worker, so a waiting session holds no thread. A multi-member
+//! [`Cohort::step_window`] serves no wait. Per window the engine then
+//! runs one **pre-pass**:
 //!
 //! * at each implant position, every member's window is gathered into
 //!   one fused channel-major block of `members × electrodes` lanes and
@@ -36,19 +37,19 @@
 //! Members' simulation clocks may drift apart (reliable-transport
 //! airtime advances them), but clocks only feed member-local ingest
 //! timestamps and the member's own exchange, both of which run inside
-//! the per-member step. The equivalence tests below (and the fleet's
-//! digest guards) hold cohort-stepped decisions byte-identical to solo
-//! stepping.
+//! the per-member step. The equivalence tests below and in
+//! `tests/cohort_equiv.rs` hold cohort-stepped decisions byte-identical
+//! to solo stepping.
 //!
 //! The wait and the pre-pass are charged back to the members. Each
-//! member's window opens with the whole radio wait (every member waited
-//! all of it) and its lane share — `1/members` — of the gather, hash,
-//! and feature stages, as [`Stage::RadioWait`] / [`Stage::Gather`] /
-//! [`Stage::Sketch`] / [`Stage::Filter`] spans inside its
-//! [`Stage::Window`] envelope, and the same charge is added to its
-//! [`StepOutcome::wall_us`]. Per-window stage totals therefore equal
-//! wall time, and deadlines are held against the work a window really
-//! cost, in a cohort as in solo serving.
+//! member's window opens with the radio wait it was handed and its lane
+//! share — `1/members` — of the gather, hash, and feature stages, as
+//! [`Stage::RadioWait`] / [`Stage::Gather`] / [`Stage::Sketch`] /
+//! [`Stage::Filter`] spans inside its [`Stage::Window`] envelope, and
+//! the same charge is added to its [`StepOutcome::wall_us`]. Per-window
+//! stage totals therefore equal wall time, and deadlines are held
+//! against the work a window really cost, in a cohort as in solo
+//! serving.
 
 use crate::apps::seizure::{RecordingView, SeizureApp, WINDOW};
 use crate::node::Node;
@@ -67,10 +68,8 @@ use std::time::Instant;
 /// members are *different patients* with the same workload shape.
 ///
 /// Float fields are keyed by bit pattern, so two specs compare equal
-/// exactly when their recordings and channels are generated alike. Keys
-/// order lexicographically (field order), giving the fleet's grouping
-/// pass a deterministic cohort order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// exactly when their recordings and channels are generated alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CohortKey {
     /// Implants per deployment.
     pub nodes: usize,
@@ -85,8 +84,7 @@ pub struct CohortKey {
     pub movement_every: usize,
     /// Whether hash broadcasts ride the reliable transport.
     pub use_reliable_transport: bool,
-    /// Modeled per-window device wait in µs (one wait serves the
-    /// cohort).
+    /// Modeled per-window device wait in µs.
     pub io_stall_us: u64,
 }
 
@@ -170,8 +168,8 @@ pub(crate) struct Charge {
 /// the largest cohort seen and are recycled window to window
 /// (steady-state windows allocate nothing). A session's
 /// [`crate::Workspace`] carries one for stepping as a cohort of one;
-/// it stays empty while the session steps inside a fleet cohort, whose
-/// own engine serves it.
+/// it stays empty while the session steps inside a multi-member
+/// cohort, whose own engine serves it.
 #[derive(Debug, Clone, Default)]
 pub struct Cohort {
     /// `members × electrodes` lanes of the current window, per implant
@@ -193,43 +191,29 @@ impl Cohort {
         Self::default()
     }
 
-    /// [`Self::step_window_after`] with no radio wait served: the
-    /// window is charged no `radio_wait`, whatever the members'
-    /// [`SessionSpec::io_stall_us`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::step_window_after`].
-    pub fn step_window(&mut self, sessions: &mut [Session], out: &mut Vec<StepOutcome>) {
-        self.step_window_after(sessions, 0, out);
-    }
-
-    /// Steps every session in `sessions` through exactly one window
-    /// after a radio wait of `waited_ns` that the caller has already
-    /// served, pushing one [`StepOutcome`] per member (in order) onto
-    /// `out` (cleared first). Every member is charged the whole wait.
-    /// Members must share a [`CohortKey`] and sit at the same window
-    /// cursor — the cohort steps in lockstep from admission, and a
-    /// shared `duration_bits` makes them finish together. Decisions are
-    /// bit-identical to calling [`Session::step`] on each member.
+    /// Steps every session in `sessions` through exactly one window,
+    /// pushing one [`StepOutcome`] per member (in order) onto `out`
+    /// (cleared first). No radio wait is served or charged, whatever the
+    /// members' [`SessionSpec::io_stall_us`]. Members must share a
+    /// [`CohortKey`] and sit at the same window cursor — the cohort
+    /// steps in lockstep from admission, and a shared `duration_bits`
+    /// makes them finish together. Decisions are bit-identical to
+    /// calling [`Session::step`] on each member.
     ///
     /// # Panics
     ///
     /// Panics if `sessions` is empty, or if members disagree on the
     /// cohort key or window cursor.
-    pub fn step_window_after(
-        &mut self,
-        sessions: &mut [Session],
-        waited_ns: u64,
-        out: &mut Vec<StepOutcome>,
-    ) {
+    pub fn step_window(&mut self, sessions: &mut [Session], out: &mut Vec<StepOutcome>) {
         out.clear();
-        self.step_each(sessions, waited_ns, |o| out.push(o));
+        self.step_each(sessions, 0, |o| out.push(o));
     }
 
-    /// [`Self::step_window_after`] handing each member's outcome to
+    /// Steps every member through one window after a radio wait of
+    /// `waited_ns` that the caller has already served, charging every
+    /// member the whole wait and handing each member's outcome to
     /// `emit` (member order) — the form [`Session::step_after`] runs on
-    /// itself.
+    /// itself as a cohort of one.
     pub(crate) fn step_each(
         &mut self,
         sessions: &mut [Session],

@@ -18,9 +18,9 @@
 //! * [`session`] — resumable per-patient serving sessions (the unit of
 //!   work the `scalo-fleet` serving layer schedules);
 //! * [`cohort`] — the window engine every served window runs through:
-//!   structurally identical sessions (a solo session is a cohort of
-//!   one) share one radio stall, one fused block hash, and one FFT-plan
-//!   walk per window, with per-session decisions unchanged;
+//!   a solo session is a cohort of one, and structurally identical
+//!   sessions can share one fused block hash and one FFT-plan walk per
+//!   window, with per-session decisions unchanged;
 //! * [`plan`] — query → plan binding compiler: typed validation,
 //!   chain roles and cadences, the session binding, and the ILP
 //!   admission budget;

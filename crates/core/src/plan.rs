@@ -5,7 +5,8 @@
 //! this module takes that DAG the rest of the way to what a serving
 //! tier admits and budgets by. Like the paper's compiler, it places a
 //! query rather than interpreting it: the window path that runs is the
-//! serving engine ([`crate::cohort::Cohort::step_window`]), and a plan
+//! window engine ([`crate::cohort`], stepped by
+//! [`crate::session::Session::step_after`]), and a plan
 //! only decides how a session is bound to it.
 //!
 //! 1. **Validate** the chain into typed operator nodes — window first,

@@ -293,8 +293,8 @@ pub struct Session {
     app: SeizureApp,
     /// The held serving samples `[recording_from, recording_from + n)`:
     /// all of them for [`Self::new`], the windows from the cursor on for
-    /// [`Self::restore`], one burst's worth for a swap fleet's session
-    /// ([`Self::hold_through`]).
+    /// [`Self::restore`], at most one quantum's worth for a swap fleet's
+    /// session ([`Self::hold_through`]).
     recording: MultiSiteRecording,
     recording_from: usize,
     state: RunState,
@@ -594,8 +594,9 @@ impl Session {
     /// This is the window engine ([`crate::cohort::Cohort`]) over a
     /// cohort of one, its scratch borrowed from the session's own
     /// workspace for the call: the pre-pass and the window step are the
-    /// ones a fleet cohort runs, so decisions are bit-identical
-    /// whichever way a session is stepped.
+    /// ones a multi-member [`crate::cohort::Cohort::step_window`] runs,
+    /// so decisions are bit-identical whichever way a session is
+    /// stepped.
     pub fn step_after(&mut self, waited_ns: u64) -> StepOutcome {
         let mut engine = std::mem::take(&mut self.workspace.engine);
         let mut out = None;
@@ -866,7 +867,7 @@ impl Session {
     }
 
     /// [`Self::restore`] holding only serving windows `[cursor, through)`,
-    /// clamped to the end: a swap fault-in synthesizes the burst it is
+    /// clamped to the end: a swap fault-in synthesizes the windows it is
     /// about to serve, not every window the session has left.
     ///
     /// # Errors

@@ -33,7 +33,7 @@ pub struct Workspace {
     /// The window engine's scratch for stepping this session as a cohort
     /// of one ([`crate::session::Session::step`],
     /// [`crate::apps::seizure::SeizureApp::step_window`]); empty while a
-    /// fleet cohort's engine steps the session instead.
+    /// multi-member [`Cohort::step_window`] steps the session instead.
     pub(crate) engine: Cohort,
     /// Quantised (i16 LE) window bytes staged for the NVM signal ring.
     pub quantized: Vec<u8>,

@@ -46,18 +46,34 @@ fn untraced_session_has_no_spans() {
 /// Every begin has an end across a full served session: the recorder
 /// finishes balanced, and per-window attribution of the real span
 /// stream accounts every nanosecond of every window's wall time — for a
-/// solo session and for each member of a cohort, whose windows carry
-/// their charged share of the fused pre-pass.
+/// solo session, for one stepped after radio waits its caller served,
+/// and for each member of a cohort, whose windows carry their charged
+/// share of the fused pre-pass.
 #[test]
 fn served_session_spans_are_balanced_and_attributable() {
     assert_balanced_and_attributable(&mut run(spec(256 * 1024)));
 
-    // Three shape twins stepped as one cohort, with a modeled radio
-    // wait served once for all of them and handed to the engine.
+    // A modeled radio wait served by the caller and handed to the
+    // engine, as a fleet does when a parked wait has passed.
     const STALL_US: u64 = 200;
+    let mut waited = Session::new(spec(256 * 1024).with_io_stall_us(STALL_US));
+    loop {
+        let t0 = Instant::now();
+        std::thread::sleep(Duration::from_micros(STALL_US));
+        let out = waited.step_after(t0.elapsed().as_nanos() as u64);
+        if out.done {
+            break;
+        }
+        // The wait is part of the step.
+        assert!(out.wall_us >= STALL_US, "{out:?}");
+    }
+    let breakdowns = assert_balanced_and_attributable(&mut waited);
+    assert_radio_wait_charged(waited.id(), &breakdowns, STALL_US);
+
+    // Three shape twins stepped as one cohort.
     let mut members: Vec<Session> = (0..3)
         .map(|i| {
-            let mut s = spec(256 * 1024).with_io_stall_us(STALL_US);
+            let mut s = spec(256 * 1024);
             s.id = 10 + i;
             s.seed = 0xbeef + 7 * i;
             Session::new(s)
@@ -66,20 +82,13 @@ fn served_session_spans_are_balanced_and_attributable() {
     let mut cohort = Cohort::new();
     let mut out = Vec::new();
     loop {
-        let t0 = Instant::now();
-        std::thread::sleep(Duration::from_micros(STALL_US));
-        let waited_ns = t0.elapsed().as_nanos() as u64;
-        cohort.step_window_after(&mut members, waited_ns, &mut out);
+        cohort.step_window(&mut members, &mut out);
         if out.iter().all(|o| o.done) {
             break;
         }
-        // The shared wait is part of every member's step.
-        assert!(out.iter().all(|o| o.wall_us >= STALL_US), "{out:?}");
     }
     for s in members.iter_mut() {
-        let breakdowns = assert_balanced_and_attributable(s);
-        // Every member waited the whole stall, inside its envelope.
-        assert_radio_wait_charged(s.id(), &breakdowns, STALL_US);
+        assert_balanced_and_attributable(s);
     }
 }
 
@@ -100,8 +109,8 @@ fn served_session_spans_are_balanced_and_attributable() {
 #[test]
 fn parked_radio_wait_is_charged_like_a_served_one() {
     const STALL_US: u64 = 300;
-    for (workers, cohort) in [(1, false), (2, false), (1, true), (2, true)] {
-        let mut fleet = Fleet::new(FleetConfig::new(workers).with_cohort(cohort));
+    for workers in [1, 2] {
+        let mut fleet = Fleet::new(FleetConfig::new(workers));
         for id in 0..3 {
             let mut s = spec(256 * 1024).with_io_stall_us(STALL_US);
             s.id = 20 + id;
@@ -130,7 +139,7 @@ fn parked_radio_wait_is_charged_like_a_served_one() {
             let envelopes_us: u64 = breakdowns.iter().map(|b| b.wall_ns / 1_000).sum();
             assert!(
                 envelopes_us <= served.wall_us,
-                "session {} ({workers} workers, cohort {cohort}): envelopes {envelopes_us} µs vs wall {} µs",
+                "session {} ({workers} workers): envelopes {envelopes_us} µs vs wall {} µs",
                 served.id,
                 served.wall_us
             );

@@ -11,9 +11,8 @@ use crate::metrics::{json_string, Counter, Histogram, MetricsRegistry};
 use crate::pool::{self, PoolReport, Quantum, WorkUnit};
 use crate::swap::arrivals::Arrival;
 use crate::swap::SwapTier;
-use scalo_core::cohort::{Cohort, CohortKey};
 use scalo_core::plan::{resolve_budget, PlanError, ProgramPlan};
-use scalo_core::session::{Session, SessionSpec, StepOutcome};
+use scalo_core::session::{Session, SessionSpec};
 use scalo_core::snapshot::{fnv1a, SessionSnapshot};
 use scalo_core::ScaloConfig;
 use scalo_storage::wal::WalError;
@@ -40,12 +39,6 @@ pub struct FleetConfig {
     /// a clean shutdown performs — buffered log records are genuinely
     /// lost, exactly as in a process kill.
     pub halt_after_windows: Option<u64>,
-    /// Cohort-batched execution: sessions that share a [`CohortKey`] and
-    /// a window cursor step as one lockstep job — one parked radio wait,
-    /// one block hash, one FFT-plan walk per window (off: every session is
-    /// a group of one). Decisions are bit-identical either way; sessions
-    /// with a pending hot reconfiguration stay groups of one.
-    pub cohort: bool,
 }
 
 impl FleetConfig {
@@ -57,14 +50,7 @@ impl FleetConfig {
             quantum_steps: 8,
             admission: AdmissionConfig::default(),
             halt_after_windows: None,
-            cohort: false,
         }
-    }
-
-    /// Enables (or disables) cohort-batched execution.
-    pub fn with_cohort(mut self, on: bool) -> Self {
-        self.cohort = on;
-        self
     }
 
     /// Sets the scheduling quantum, in windows.
@@ -267,12 +253,6 @@ pub struct FleetReport {
     pub admission_log: Vec<AdmissionEvent>,
     /// Hot reconfigurations attempted during the run, by session id.
     pub reconfigures: Vec<ReconfigureRecord>,
-    /// Job group sizes the scheduler formed, largest first (cohort mode
-    /// only; empty otherwise). A size ≥ 2 is a fused cohort; a 1 is a
-    /// solo job — a shape with no twin, or a session ejected for a
-    /// pending reconfiguration. The sizes sum to the served session
-    /// count, so this doubles as the cohort occupancy histogram.
-    pub cohorts: Vec<usize>,
     /// Worker-pool accounting.
     pub pool: PoolReport,
     /// The metrics registry's JSON export (counters + histograms).
@@ -327,7 +307,6 @@ impl FleetReport {
             self.pool.quanta,
             self.pool.steals,
         );
-        let _ = write!(out, ",\"cohorts\":{:?}", self.cohorts);
         out.push_str(",\"sessions\":[");
         for (i, s) in self.sessions.iter().enumerate() {
             let _ = write!(
@@ -419,7 +398,7 @@ fn admission_log_json(log: &[AdmissionEvent]) -> String {
     out
 }
 
-/// How a member not yet in memory enters its job: built cold at its
+/// How a session not yet in memory enters its job: built cold at its
 /// first arrival, or restored from its decoded image (`pre_us`: the NVM
 /// read and decode time already spent on the fault-in; `pre_cpu_us`:
 /// the CPU time of that read and decode).
@@ -476,7 +455,7 @@ impl Shared {
         }
     }
 
-    /// Per-window durability hooks, run for every member's window: one
+    /// Per-window durability hooks, run for every served window: one
     /// decision record per window (allocation-free), a checkpoint
     /// snapshot every cadence windows, and a completion record.
     fn log_window(&self, session: &Session, window: usize, done: bool) {
@@ -495,109 +474,137 @@ impl Shared {
     }
 }
 
-/// The pool's one job type: one arrival's burst for a group of sessions
-/// stepped in lockstep through the window engine ([`scalo_core::cohort`]).
-/// It stops at its burst length or at completion and yields every
-/// `quantum_steps` windows. Before each window with a modeled radio
-/// wait it parks ([`Quantum::WaitUntil`]), so the wait holds no worker,
-/// and steps the window when it resumes.
-struct GroupJob {
+/// The pool's one job type: one arrival's burst for one session. It
+/// brings the session into memory first when it is cold or swapped,
+/// stops at its burst length or at completion, and yields every
+/// `quantum_steps` windows. Before each window with a modeled radio wait
+/// it parks ([`Quantum::WaitUntil`]), so the wait holds no worker, and
+/// steps the window ([`Session::step_after`]) when it resumes.
+struct SessionJob {
     shared: Arc<Shared>,
-    sessions: Vec<Session>,
-    /// A member to build or restore first (groups of one only).
+    id: u64,
+    /// How the session enters memory, until the job's first quantum.
     start: Option<Start>,
-    /// Whether the members are in memory and hold the burst's windows.
-    held: bool,
+    /// The session once in memory; `None` before its start runs and
+    /// after its restore failed closed.
+    session: Option<Session>,
     /// Windows left in this arrival's burst.
     burst: u64,
-    /// Scratch for groups of two or more; a group of one steps on its
-    /// session's own ([`Session::step`]), so no burst sizes a fresh one.
-    engine: Cohort,
-    outcomes: Vec<StepOutcome>,
-    /// The member whose restore failed closed.
-    failed: Option<u64>,
-    /// Pending hot reconfiguration (groups of one only: the new binding
-    /// changes the session's cohort key mid-run).
+    /// Pending hot reconfiguration.
     reconfigure: Option<ReconfigureRequest>,
     reconfigure_record: Option<ReconfigureRecord>,
-    /// The radio wait the group is parked on: when it began and its
+    /// The radio wait the job is parked on: when it began and its
     /// deadline.
     parked: Option<(Instant, Instant)>,
 }
 
-impl GroupJob {
-    /// Once, before the first window: brings the `start` member into
-    /// memory and makes every member hold the windows of its burst and
-    /// nothing it has served ([`Session::hold_through`]). A build or
-    /// fault-in synthesizes only the burst; a resident member drops its
-    /// last burst and synthesizes this one. This runs on the worker, so
-    /// synthesis stays parallel. `false` when the start member's restore
-    /// failed closed (its state disagreed with its digests).
-    fn materialize(&mut self) -> bool {
-        if std::mem::replace(&mut self.held, true) {
-            return true;
-        }
-        if let Some(start) = self.start.take() {
-            if !self.bring_in(start) {
-                return false;
-            }
-        }
-        for s in self.sessions.iter_mut() {
-            s.hold_through(s.window().saturating_add(self.burst));
-        }
-        true
+impl SessionJob {
+    /// Windows to hold ahead of the cursor: the rest of the burst, at
+    /// most one quantum.
+    fn ahead(&self) -> u64 {
+        self.burst.min(self.shared.quantum_steps as u64)
     }
 
-    /// Builds or restores `start` holding this burst's windows, and
-    /// appends it to the members. `false` when its restore failed closed.
-    fn bring_in(&mut self, start: Start) -> bool {
+    /// Builds or restores the session from its `start`, holding its
+    /// first quantum's windows. This runs on the worker, so synthesis
+    /// stays parallel. `None` when its restore failed closed (its state
+    /// disagreed with its digests).
+    fn bring_in(&self, start: Start) -> Option<Session> {
         let (shared, t0, cpu0) = (&*self.shared, Instant::now(), pool::thread_cpu_us());
         let cpu_since = |pre_cpu_us: u64, h: &Option<Arc<Histogram>>| {
             if let (Some(h), Some(cpu0), Some(cpu1)) = (h, cpu0, pool::thread_cpu_us()) {
                 h.observe(pre_cpu_us + cpu1.saturating_sub(cpu0));
             }
         };
-        let session = match start {
+        match start {
             Start::Build(spec) => {
-                let session = Session::new_through(spec, self.burst);
+                let session = Session::new_through(spec, self.ahead());
                 let build_us = t0.elapsed().as_micros() as u64;
                 if let Some(h) = &shared.cold_build_us {
                     h.observe(build_us);
                 }
                 cpu_since(0, &shared.cold_build_cpu_us);
                 shared.log(|logger| logger.log_admit(&session));
-                session
+                Some(session)
             }
             Start::FaultIn {
                 snap,
                 pre_us,
                 pre_cpu_us,
-            } => match Session::restore_through(&snap, snap.window.saturating_add(self.burst)) {
-                Ok(mut session) => {
-                    let total_us = pre_us + t0.elapsed().as_micros() as u64;
-                    if let Some(h) = &shared.swap_in_us {
-                        h.observe(total_us);
-                    }
-                    cpu_since(pre_cpu_us, &shared.swap_in_cpu_us);
-                    session.note_swapped_in(total_us.saturating_mul(1_000));
-                    session
+            } => {
+                let through = snap.window.saturating_add(self.ahead());
+                let mut session = Session::restore_through(&snap, through).ok()?;
+                let total_us = pre_us + t0.elapsed().as_micros() as u64;
+                if let Some(h) = &shared.swap_in_us {
+                    h.observe(total_us);
                 }
-                Err(_) => {
-                    self.failed = Some(snap.spec.id);
-                    return false;
-                }
-            },
-        };
-        self.sessions.push(session);
-        true
+                cpu_since(pre_cpu_us, &shared.swap_in_cpu_us);
+                session.note_swapped_in(total_us.saturating_mul(1_000));
+                Some(session)
+            }
+        }
     }
 
-    /// Starts the next window's radio wait, if the group has one to
+    /// Steps the session through up to one quantum of its burst.
+    fn serve(&mut self, session: &mut Session) -> Quantum {
+        if self.burst == 0 {
+            return Quantum::Done;
+        }
+        let mut waited_ns = self.resume(session);
+        if waited_ns.is_none() {
+            // Close any pending run-queue gap as a `queue` span (no-op
+            // when the session's recorder is disabled).
+            session.note_scheduled();
+        }
+        for _ in 0..self.shared.quantum_steps {
+            if waited_ns.is_none() {
+                self.maybe_reconfigure(session);
+                self.hold_ahead(session);
+                if let Some(deadline) = self.park(session) {
+                    return Quantum::WaitUntil(deadline);
+                }
+            }
+            let out = session.step_after(waited_ns.take().unwrap_or(0));
+            self.burst -= 1;
+            let shared = &*self.shared;
+            shared.step_latency.observe(out.wall_us);
+            shared.steps.incr();
+            if out.deadline_missed {
+                shared.misses.incr();
+            }
+            shared.log_window(session, out.window, out.done);
+            if let Some(halt) = shared.halt_after_windows {
+                if shared.windows_stepped.fetch_add(1, Ordering::Relaxed) + 1 >= halt {
+                    // The kill: stop the pool mid-flight, no final sync.
+                    shared.halted.store(true, Ordering::Relaxed);
+                    return Quantum::Done;
+                }
+            }
+            if self.burst == 0 || out.done || shared.halted.load(Ordering::Relaxed) {
+                return Quantum::Done;
+            }
+        }
+        session.note_yielded();
+        Quantum::Yield
+    }
+
+    /// Holds the next quantum's windows once the held range runs out
+    /// ([`Session::hold_through`]): the served ones are dropped, and at
+    /// most `quantum_steps` windows are synthesized at a time. A session
+    /// that still holds the next window is left alone, so a closed-batch
+    /// session holding its whole recording is never re-spliced.
+    fn hold_ahead(&self, session: &mut Session) {
+        let next = session.window();
+        if session.held_windows().end as u64 <= next {
+            session.hold_through(next + self.ahead());
+        }
+    }
+
+    /// Starts the next window's radio wait, if the session has one to
     /// serve: returns its deadline.
-    fn park(&mut self) -> Option<Instant> {
-        let lead = &self.sessions[0];
-        let stall_us = lead.spec().io_stall_us;
-        if stall_us == 0 || lead.is_done() {
+    fn park(&mut self, session: &Session) -> Option<Instant> {
+        let stall_us = session.spec().io_stall_us;
+        if stall_us == 0 || session.is_done() {
             return None;
         }
         let since = Instant::now();
@@ -608,28 +615,11 @@ impl GroupJob {
 
     /// Ends a parked wait: the wait is charged from its start to its
     /// deadline (returned, ns), and any delay past the deadline before
-    /// this resume is the members' queueing.
-    fn resume(&mut self) -> Option<u64> {
+    /// this resume is the session's queueing.
+    fn resume(&mut self, session: &mut Session) -> Option<u64> {
         let (since, deadline) = self.parked.take()?;
-        let late_ns = deadline.elapsed().as_nanos() as u64;
-        for s in self.sessions.iter_mut() {
-            s.note_resumed(late_ns);
-        }
+        session.note_resumed(deadline.elapsed().as_nanos() as u64);
         Some((deadline - since).as_nanos() as u64)
-    }
-
-    /// Steps every member through one window after a served radio wait
-    /// of `waited_ns`.
-    fn step(&mut self, waited_ns: u64) {
-        match self.sessions.as_mut_slice() {
-            [solo] => {
-                self.outcomes.clear();
-                self.outcomes.push(solo.step_after(waited_ns));
-            }
-            group => self
-                .engine
-                .step_window_after(group, waited_ns, &mut self.outcomes),
-        }
     }
 
     /// Applies a scheduled reconfiguration once its window boundary has
@@ -638,9 +628,8 @@ impl GroupJob {
     /// spec to the session's digest-checked cutover. Every failure is a
     /// typed rollback — the session keeps serving its old configuration
     /// and the record says why.
-    fn maybe_reconfigure(&mut self) {
+    fn maybe_reconfigure(&mut self, session: &mut Session) {
         let Some(req) = &self.reconfigure else { return };
-        let session = &mut self.sessions[0];
         if session.window() < req.at_window || session.is_done() {
             return;
         }
@@ -686,57 +675,20 @@ impl GroupJob {
     }
 }
 
-impl WorkUnit for GroupJob {
+impl WorkUnit for SessionJob {
     fn run_quantum(&mut self) -> Quantum {
-        if self.shared.halted.load(Ordering::Relaxed) || !self.materialize() || self.burst == 0 {
+        if self.shared.halted.load(Ordering::Relaxed) {
             return Quantum::Done;
         }
-        let mut waited_ns = self.resume();
-        if waited_ns.is_none() {
-            // Close any pending run-queue gap as a `queue` span (no-op
-            // when a session's recorder is disabled).
-            for s in self.sessions.iter_mut() {
-                s.note_scheduled();
-            }
+        if let Some(start) = self.start.take() {
+            self.session = self.bring_in(start);
         }
-        for _ in 0..self.shared.quantum_steps {
-            if waited_ns.is_none() {
-                self.maybe_reconfigure();
-                if let Some(deadline) = self.park() {
-                    return Quantum::WaitUntil(deadline);
-                }
-            }
-            self.step(waited_ns.take().unwrap_or(0));
-            self.burst -= 1;
-            let shared = &*self.shared;
-            for (m, out) in self.outcomes.iter().enumerate() {
-                shared.step_latency.observe(out.wall_us);
-                shared.steps.incr();
-                if out.deadline_missed {
-                    shared.misses.incr();
-                }
-                shared.log_window(&self.sessions[m], out.window, out.done);
-            }
-            if let Some(halt) = shared.halt_after_windows {
-                let n = self.outcomes.len() as u64;
-                if shared.windows_stepped.fetch_add(n, Ordering::Relaxed) + n >= halt {
-                    // The kill: stop the pool mid-flight, no final sync.
-                    shared.halted.store(true, Ordering::Relaxed);
-                    return Quantum::Done;
-                }
-            }
-            // Lockstep: a shared duration means members finish together.
-            if self.burst == 0
-                || self.outcomes.iter().all(|o| o.done)
-                || shared.halted.load(Ordering::Relaxed)
-            {
-                return Quantum::Done;
-            }
-        }
-        for s in self.sessions.iter_mut() {
-            s.note_yielded();
-        }
-        Quantum::Yield
+        let Some(mut session) = self.session.take() else {
+            return Quantum::Done;
+        };
+        let quantum = self.serve(&mut session);
+        self.session = Some(session);
+        quantum
     }
 }
 
@@ -851,8 +803,6 @@ pub struct Fleet {
     /// Completed sessions' report rows (closed batches only).
     served: Vec<SessionServing>,
     reconfigure_records: Vec<ReconfigureRecord>,
-    /// Job group sizes (cohort mode only).
-    cohorts: Vec<usize>,
 }
 
 impl Fleet {
@@ -871,7 +821,6 @@ impl Fleet {
             stage_hists: vec![None; scalo_trace::Stage::ALL.len()],
             served: Vec::new(),
             reconfigure_records: Vec::new(),
-            cohorts: Vec::new(),
         }
     }
 
@@ -1094,8 +1043,6 @@ impl Fleet {
         sessions.sort_by_key(|s| s.id);
         let mut reconfigures = std::mem::take(&mut self.reconfigure_records);
         reconfigures.sort_by_key(|r| r.id);
-        let mut cohorts = std::mem::take(&mut self.cohorts);
-        cohorts.sort_unstable_by(|a, b| b.cmp(a));
         let ids = |want: fn(&Residency) -> bool| -> Vec<u64> {
             self.table
                 .iter()
@@ -1110,7 +1057,6 @@ impl Fleet {
             deadline_misses: sessions.iter().map(|s| s.deadline_misses).sum(),
             sessions,
             reconfigures,
-            cohorts,
             rejected: ids(|r| matches!(r, Residency::Rejected)),
             shed: ids(|r| matches!(r, Residency::Shed)),
             admission_log: self.admission.log().to_vec(),
@@ -1188,8 +1134,8 @@ impl Fleet {
     }
 
     /// Serves one epoch: each arriving session is made resident (as it
-    /// is, built cold, or faulted in), grouped into pool jobs that step
-    /// its burst, and put back in the table. Arrivals that get no
+    /// is, built cold, or faulted in) in a pool job that steps its
+    /// burst, and is put back in the table. Arrivals that get no
     /// resident slot go to `deferred`.
     fn run_epoch(
         &mut self,
@@ -1199,12 +1145,8 @@ impl Fleet {
         pool: &mut PoolReport,
     ) {
         let arriving: BTreeSet<u64> = arrivals.iter().map(|a| a.session).collect();
-        let (mut served, mut late) = (0u64, 0u64);
-        let mut jobs: Vec<GroupJob> = Vec::new();
-        // Cohort mode fuses resident sessions of one shape, cursor, and
-        // burst into one lockstep group (in BTreeMap order); sessions
-        // with a pending reconfiguration stay solo.
-        let mut groups: BTreeMap<(CohortKey, u64, u32), Vec<Session>> = BTreeMap::new();
+        let mut late = 0u64;
+        let mut jobs: Vec<SessionJob> = Vec::new();
         for &arrival in arrivals {
             let id = arrival.session;
             let Some(entry) = self.table.get_mut(&id) else {
@@ -1222,36 +1164,28 @@ impl Fleet {
             }
             entry.last_arrival_seq = self.next_arrival_seq;
             self.next_arrival_seq += 1;
-            let session = match std::mem::replace(&mut entry.residency, Residency::InFlight) {
-                Residency::Resident(session) => *session,
-                parked => {
-                    let Some(start) = self.bring_in(arrival, parked, &arriving, deferred) else {
-                        continue;
-                    };
-                    served += 1;
-                    jobs.push(self.job(shared, Vec::new(), Some(start), arrival.windows));
-                    continue;
-                }
-            };
-            served += 1;
-            if self.cfg.cohort && !self.reconfigures.contains_key(&id) {
-                let key = (
-                    CohortKey::of(session.spec()),
-                    session.window(),
-                    arrival.windows,
-                );
-                groups.entry(key).or_default().push(session);
-            } else {
-                jobs.push(self.job(shared, vec![session], None, arrival.windows));
-            }
+            let (session, start) =
+                match std::mem::replace(&mut entry.residency, Residency::InFlight) {
+                    Residency::Resident(session) => (Some(*session), None),
+                    parked => match self.bring_in(arrival, parked, &arriving, deferred) {
+                        Some(start) => (None, Some(start)),
+                        None => continue,
+                    },
+                };
+            jobs.push(SessionJob {
+                shared: Arc::clone(shared),
+                id,
+                start,
+                session,
+                burst: u64::from(arrival.windows),
+                reconfigure: self.reconfigures.remove(&id),
+                reconfigure_record: None,
+                parked: None,
+            });
         }
-        for ((_, _, burst), group) in groups {
-            jobs.push(self.job(shared, group, None, burst));
-        }
-        if self.cfg.cohort {
-            self.cohorts.extend(jobs.iter().map(|j| j.sessions.len()));
-        }
-        self.metrics.counter("fleet.arrivals_served").add(served);
+        self.metrics
+            .counter("fleet.arrivals_served")
+            .add(jobs.len() as u64);
         self.metrics.counter("fleet.arrivals_late").add(late);
         if !jobs.is_empty() {
             let (done, report) = pool::run_to_completion(jobs, self.cfg.workers);
@@ -1266,42 +1200,15 @@ impl Fleet {
         }
     }
 
-    fn job(
-        &mut self,
-        shared: &Arc<Shared>,
-        sessions: Vec<Session>,
-        start: Option<Start>,
-        burst: u32,
-    ) -> GroupJob {
-        let reconfigure = match sessions.as_slice() {
-            [solo] => self.reconfigures.remove(&solo.id()),
-            _ => None,
-        };
-        GroupJob {
-            shared: Arc::clone(shared),
-            outcomes: Vec::with_capacity(sessions.len().max(1)),
-            engine: Cohort::new(),
-            sessions,
-            start,
-            held: false,
-            burst: u64::from(burst),
-            failed: None,
-            reconfigure,
-            reconfigure_record: None,
-            parked: None,
-        }
-    }
-
-    fn finish(&mut self, job: GroupJob) {
+    /// Puts a job's session back: parked again when the kill left its
+    /// start unrun, retired when its restore failed closed, otherwise
+    /// settled.
+    fn finish(&mut self, job: SessionJob) {
         self.reconfigure_records.extend(job.reconfigure_record);
-        if let Some(start) = job.start {
-            self.put_back(start);
-        }
-        if let Some(id) = job.failed {
-            self.fail_closed(id);
-        }
-        for session in job.sessions {
-            self.settle(session);
+        match (job.start, job.session) {
+            (Some(start), _) => self.put_back(start),
+            (None, Some(session)) => self.settle(session),
+            (None, None) => self.fail_closed(job.id),
         }
     }
 
@@ -1551,83 +1458,6 @@ mod tests {
         let ids: Vec<u64> = report.sessions.iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![1, 3], "newest low-priority session shed first");
         assert_eq!(report.shed, vec![2]);
-    }
-
-    #[test]
-    fn cohort_mode_keeps_digests_and_records_occupancy() {
-        // Three shapes: four plain sessions, two movement-mix, one
-        // reliable — cohort mode must fuse [4, 2] and leave the loner
-        // solo, with every decision digest identical to solo serving.
-        let submit_all = |fleet: &mut Fleet| {
-            for id in 0..4 {
-                fleet.submit(small_spec(id)).unwrap();
-            }
-            for id in 4..6 {
-                fleet
-                    .submit(small_spec(id).with_movement_every(25))
-                    .unwrap();
-            }
-            let mut reliable = small_spec(6);
-            reliable.use_reliable_transport = true;
-            fleet.submit(reliable).unwrap();
-        };
-        let mut solo = Fleet::new(FleetConfig::new(2).with_quantum_steps(4));
-        submit_all(&mut solo);
-        let solo = solo.run();
-        assert!(solo.cohorts.is_empty(), "cohort mode off records no groups");
-
-        let mut fused = Fleet::new(FleetConfig::new(2).with_quantum_steps(4).with_cohort(true));
-        submit_all(&mut fused);
-        let fused = fused.run();
-        assert_eq!(fused.cohorts, vec![4, 2, 1], "occupancy histogram");
-        assert_eq!(
-            fused.cohorts.iter().sum::<usize>(),
-            fused.sessions.len(),
-            "group sizes cover the served set"
-        );
-        assert_eq!(solo.sessions.len(), fused.sessions.len());
-        assert_eq!(solo.windows, fused.windows);
-        for (a, b) in solo.sessions.iter().zip(&fused.sessions) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.digest, b.digest, "session {} digest drifted", a.id);
-            assert_eq!(a.steps, b.steps);
-        }
-    }
-
-    #[test]
-    fn cohort_mode_ejects_pending_reconfigures_to_solo() {
-        use scalo_core::catalog;
-
-        // Session 1 has a scheduled cutover: it must run solo (its new
-        // binding changes its cohort key mid-run) while its three
-        // shape-twins fuse
-        // — and the cutover must still commit with digests matching a
-        // solo fleet running the same schedule.
-        let run = |cohort: bool| {
-            let mut fleet = Fleet::new(
-                FleetConfig::new(2)
-                    .with_quantum_steps(4)
-                    .with_cohort(cohort),
-            );
-            for id in 0..4 {
-                fleet.submit(small_spec(id)).unwrap();
-            }
-            fleet.schedule_reconfigure(1, 20, catalog::MOVEMENT_MIX, None);
-            fleet.run()
-        };
-        let solo = run(false);
-        let fused = run(true);
-        assert_eq!(fused.cohorts, vec![3, 1], "reconfigure-due session ejected");
-        assert_eq!(fused.reconfigures.len(), 1);
-        assert!(
-            fused.reconfigures[0].ok,
-            "{:?}",
-            fused.reconfigures[0].error
-        );
-        for (a, b) in solo.sessions.iter().zip(&fused.sessions) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.digest, b.digest, "session {} digest drifted", a.id);
-        }
     }
 
     #[test]

@@ -26,20 +26,22 @@
 //!   time) and decodes it (SCSS checksum; seeded read-disturb faults are
 //!   retried up to [`SwapConfig::fault_retries`] times and then **fail
 //!   closed** — the burst is dropped, image and decisions intact). Its
-//!   pool job restores the state image holding only the arrival's burst
-//!   (`Session::restore_through(snap, cursor + burst)`): the session
-//!   state and detectors are installed, only the burst's serving
-//!   windows are synthesized, and the installed state must digest to
-//!   the image's cursor; no window is stepped. The fault-in latency
+//!   pool job restores the state image holding only the burst's first
+//!   quantum (`Session::restore_through(snap, cursor + q)`, `q` =
+//!   `min(burst, quantum_steps)`): the session state and detectors are
+//!   installed, only those serving windows are synthesized, and the
+//!   installed state must digest to the image's cursor; no window is
+//!   stepped. A restore that fails closed retires the session. The fault-in latency
 //!   lands in `fleet.swap_in_us` (its thread CPU time in
 //!   `fleet.swap_in_cpu_us`) and a
 //!   [`Stage::SwapIn`](scalo_trace::Stage) span on traced sessions.
-//! * **Burst-sized residency** — a session holds only the windows of the
-//!   burst it is serving: a cold build synthesizes its first burst
-//!   (`Session::new_through`), and a resident session drops what it has
-//!   served and synthesizes its next burst before stepping it
-//!   (`Session::hold_through`), all on the pool's workers. Closed
-//!   batches build and hold whole recordings at submit.
+//! * **Quantum-sized residency** — a session holds at most one
+//!   quantum of the burst it is serving: a cold build synthesizes its
+//!   first quantum (`Session::new_through`), and whenever the held
+//!   range runs out a session drops what it has served and synthesizes
+//!   the next quantum before stepping it (`Session::hold_through`), all
+//!   on the pool's workers. Closed batches build and hold whole
+//!   recordings at submit.
 //!
 //! Arrivals come from the open-loop generator ([`arrivals`]) quantized
 //! into epochs; the coordinator applies admissions, evictions, and
@@ -769,9 +771,9 @@ impl Fleet {
         None
     }
 
-    /// Parks a member whose job never started where it was. Only the
+    /// Parks a session whose job never started where it was. Only the
     /// kill switch leaves a start unrun, and a halted engine serves no
-    /// more: a faulted-in member is reported swapped at its image's
+    /// more: a faulted-in session is reported swapped at its image's
     /// cursor, and its state survives in the WAL's swap-out checkpoint.
     pub(crate) fn put_back(&mut self, start: Start) {
         let (id, residency) = match start {
@@ -856,6 +858,105 @@ mod tests {
             .count();
         assert_eq!(decisions, 23, "one decision record per served window");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A long burst is synthesized one quantum at a time, on a build and
+    /// on a fault-in alike: a session never holds more than
+    /// `quantum_steps` windows, and ends a burst holding only the
+    /// burst's last quantum.
+    #[test]
+    fn long_bursts_hold_one_quantum_at_a_time() {
+        let mut fleet = SwapFleet::new(SwapConfig::new(1, 1)).0;
+        fleet
+            .submit(SessionSpec::new(3, 0x33).with_duration_s(0.4))
+            .unwrap();
+        let held = |fleet: &Fleet| match &fleet.table[&3].residency {
+            Residency::Resident(s) => (s.window(), s.held_windows()),
+            other => panic!("session 3 is {other:?}"),
+        };
+        let burst = |windows| {
+            vec![Arrival {
+                at_us: 0,
+                session: 3,
+                windows,
+            }]
+        };
+        // Cold build, 61 windows: quanta [0, 8), ..., [48, 56), [56, 61).
+        fleet.serve(&[burst(61)]);
+        assert_eq!(held(&fleet), (61, 56..61));
+        // Fault-in at 61, 30 windows: [61, 69), ..., [85, 91).
+        assert!(fleet.swap_out(3));
+        fleet.serve(&[burst(30)]);
+        assert_eq!(held(&fleet), (91, 85..91));
+        assert_eq!(fleet.table[&3].swap_ins, 1);
+    }
+
+    /// A fault-in whose image decodes but whose state disagrees with its
+    /// digests fails closed on the worker: the session is retired
+    /// `Failed`, the failure is counted, and the rest of the fleet
+    /// serves on untouched.
+    #[test]
+    fn forged_image_fails_closed_on_the_worker() {
+        use scalo_core::session::Session;
+        use scalo_core::snapshot::SnapshotError;
+
+        let spec = |id: u64| SessionSpec::new(id, 0x5e5 + 11 * id).with_duration_s(0.3);
+        let arrivals = |windows: u32| -> Vec<Arrival> {
+            (0..3)
+                .map(|session| Arrival {
+                    at_us: 0,
+                    session,
+                    windows,
+                })
+                .collect()
+        };
+        let mut fleet = SwapFleet::new(SwapConfig::new(2, 3)).0;
+        for id in 0..3 {
+            fleet.submit(spec(id)).unwrap();
+        }
+        fleet.serve(&[arrivals(10)]);
+        for id in 0..3 {
+            assert!(fleet.swap_out(id), "eviction of resident session {id}");
+        }
+
+        // Re-encode session 1's image with its step digest flipped: the
+        // checksum is valid, so it decodes, but its restore must refuse.
+        let store = &mut fleet.swap.as_mut().unwrap().store;
+        let (image, _) = store.read(1).unwrap();
+        let mut snap = SessionSnapshot::decode(&image).unwrap();
+        snap.step_digest ^= 1;
+        let mut forged = Vec::new();
+        snap.encode_into(&mut forged);
+        store.remove(1).unwrap();
+        store.put(1, &forged).unwrap();
+        let decoded = SessionSnapshot::decode(&forged).expect("the forged image decodes");
+        assert!(matches!(
+            Session::restore_through(&decoded, decoded.window + 8),
+            Err(SnapshotError::DigestMismatch { .. })
+        ));
+
+        let report = SwapFleet(fleet).run(&ArrivalPlan {
+            epochs: vec![arrivals(u32::MAX)],
+            total_arrivals: 3,
+            epoch_us: 50_000,
+        });
+        assert_eq!(report.fault_failures, 1, "{report:?}");
+        assert_eq!(report.arrivals_dropped, 0);
+        let failed = &report.sessions[1];
+        assert_eq!(failed.state, SwapOutcomeState::Failed);
+        assert_eq!(failed.decisions_fnv, 0);
+        for id in [0, 2] {
+            let mut twin = Session::new(spec(id));
+            while !twin.step().done {}
+            let served = &report.sessions[id as usize];
+            assert_eq!(served.state, SwapOutcomeState::Completed);
+            assert_eq!(served.windows, twin.windows_total() as u64);
+            assert_eq!(
+                served.decisions_fnv,
+                fnv1a(twin.decision_digest().as_bytes()),
+                "session {id} drifted from its step twin"
+            );
+        }
     }
 
     #[test]

@@ -86,10 +86,10 @@ fn digests_separate_sessions() {
 
 /// Every session waits on its radio each window, so the fleet parks
 /// every window off its worker and resumes it when the wait is over.
-/// Parking reorders execution only: served solo or in cohorts, on 1 or
-/// 4 workers, every session decides byte-for-byte as with no wait.
+/// Parking reorders execution only: on 1 or 4 workers, every session
+/// decides byte-for-byte as with no wait.
 #[test]
-fn parked_radio_waits_keep_digests_solo_and_cohort() {
+fn parked_radio_waits_keep_digests() {
     let baseline = digests(1, 8);
     let stalled = || -> Vec<SessionSpec> {
         population()
@@ -98,12 +98,10 @@ fn parked_radio_waits_keep_digests_solo_and_cohort() {
             .collect()
     };
     for workers in [1, 4] {
-        for cohort in [false, true] {
-            let parked = serve(stalled(), FleetConfig::new(workers).with_cohort(cohort));
-            assert_eq!(
-                parked, baseline,
-                "parked waits changed decisions on {workers} workers (cohort {cohort})"
-            );
-        }
+        let parked = serve(stalled(), FleetConfig::new(workers));
+        assert_eq!(
+            parked, baseline,
+            "parked waits changed decisions on {workers} workers"
+        );
     }
 }

@@ -10,8 +10,7 @@ use scalo_fleet::{
 };
 use std::collections::BTreeMap;
 
-/// Two shapes (plain and movement mix) with mixed priorities, so the
-/// cohort run fuses groups of different sizes.
+/// Two shapes (plain and movement mix) with mixed priorities.
 fn population() -> Vec<SessionSpec> {
     (0..6u64)
         .map(|id| {
@@ -24,8 +23,8 @@ fn population() -> Vec<SessionSpec> {
 }
 
 /// `(windows, decisions_fnv)` per session, from a closed batch.
-fn closed_batch(specs: &[SessionSpec], cohort: bool) -> BTreeMap<u64, (u64, u64)> {
-    let mut fleet = Fleet::new(FleetConfig::new(2).with_cohort(cohort));
+fn closed_batch(specs: &[SessionSpec]) -> BTreeMap<u64, (u64, u64)> {
+    let mut fleet = Fleet::new(FleetConfig::new(2));
     for spec in specs {
         fleet.submit(spec.clone()).unwrap();
     }
@@ -70,9 +69,7 @@ fn closed_batch_is_a_swap_fleet_that_never_swaps() {
         .map(|s| (s.id, (s.windows, s.decisions_fnv)))
         .collect();
 
-    let solo = closed_batch(&specs, false);
-    let fused = closed_batch(&specs, true);
-    assert!(solo.values().all(|&(w, _)| w == u64::from(windows)));
-    assert_eq!(solo, swapped, "closed batch and swap fleet decided apart");
-    assert_eq!(solo, fused, "cohort batching changed decisions");
+    let batch = closed_batch(&specs);
+    assert!(batch.values().all(|&(w, _)| w == u64::from(windows)));
+    assert_eq!(batch, swapped, "closed batch and swap fleet decided apart");
 }
