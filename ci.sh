@@ -183,12 +183,15 @@ awk -v s="$speedup" -v f="$floor" -v i="$isa" 'BEGIN {
   printf "batched filter+FFT speedup: %sx (floor %sx on %s lane)\n", s, f, i
 }'
 
-echo "== iEEG synthesis guard (ns per sample over the sin floor) =="
+echo "== iEEG synthesis guard (CPU ns per sample over the sin floor) =="
 # The kernels run above also times generate_range over a 6-window burst
 # at 2x4 and at 1x96 electrodes, and this host's sin per call, each the
 # minimum of its reps. A sample sums seven oscillators, so ns/sample over
 # 7 x sin ns is the synthesis cost over the sin calls it cannot avoid;
 # both parts are timed on the runner, so the ratio carries across hosts.
+# The 1x96 burst is split over the host's cores, so its wall time reads
+# a fraction of the kernel's cost: sin_ratio is taken on process CPU ns
+# per sample (every thread's work), which the split does not shrink.
 # The chunked, oscillator-major kernel read 1.11-1.28 and the per-sample
 # loop it replaced 1.59-1.82 (2-vCPU KVM guest); the cap sits between.
 sin_ratio=$(sed -n 's/.*"synthesis":{[^}]*"sin_ratio":\([0-9.]*\).*/\1/p' BENCH_kernels.json)

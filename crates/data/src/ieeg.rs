@@ -13,6 +13,9 @@ use crate::SAMPLE_RATE_HZ;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+use std::thread;
 
 /// One seizure event in a recording.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -162,8 +165,8 @@ const OSCILLATORS: usize = 7;
 const FIRST_OCTAVE: i32 = 3;
 
 /// Samples per chunk of the synthesis loop: the span whose sample times
-/// and oscillator arguments are computed once and shared by every
-/// electrode of every node.
+/// and oscillator arguments are computed once and shared by the
+/// electrodes of a node.
 const CHUNK: usize = 240;
 
 /// Samples over which a seizure's amplitude ramps up (100 ms).
@@ -196,6 +199,21 @@ struct Electrode {
     amp: f64,
 }
 
+/// Electrode-samples a synthesis thread is given at least: one pool
+/// quantum of a 2×4 session (8 electrodes × 8 windows × 120 samples),
+/// ~0.65 ms of synthesis at ~85 ns an electrode sample. A scoped spawn
+/// and join of one thread costs 15 µs at best and 33–39 µs at the median
+/// (2,000 trials; 2-vCPU avx2 KVM guest, Intel Xeon), ~5% of such a
+/// group, so a range is split only into groups at least this large.
+const MIN_GROUP: usize = 7_680;
+
+/// The cores this process may run on, read once (the lookup reads
+/// cgroup files on Linux).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// Generates samples `from..to` of the recording `config` describes,
 /// bit-identical to that slice of [`generate`]: every channel and
 /// seizure mask holds `to - from` samples, the first being sample
@@ -212,29 +230,59 @@ struct Electrode {
 /// A sample is `Σ_k amp_k·sin((2π·f_k)·t + phase_k)` over the octave
 /// bank (k = 3..9 in that order, summed from 0.0), scaled by half the
 /// background amplitude, plus white noise and, while seizing, the ramped
-/// spike-and-wave discharge. The loop walks the range in chunks of 240
-/// samples. Each chunk's sample times and the seven arguments
-/// `(2π·f_k)·t` are computed once and shared by every electrode of every
-/// node. Each electrode then sums its bank oscillator by oscillator over
-/// the chunk, so consecutive `sin` calls feed different sums and
-/// overlap, where a per-sample loop adds each call into one running sum
-/// before the next. The result is bit-identical to that per-sample
-/// loop, because every sample still sees the same operations on the
-/// same operands in the same order:
+/// spike-and-wave discharge. Each node's electrodes walk the range in
+/// chunks of 240 samples. Each chunk's sample times and the seven
+/// arguments `(2π·f_k)·t` are computed once and shared by the node's
+/// electrodes. Each electrode then sums its bank oscillator by
+/// oscillator over the chunk, so consecutive `sin` calls feed different
+/// sums and overlap, where a per-sample loop adds each call into one
+/// running sum before the next. The result is bit-identical to that
+/// per-sample loop, because every sample still sees the same operations
+/// on the same operands in the same order:
 /// - the oscillators are added in the same k order, onto 0.0;
 /// - Rust never contracts `a * b + c` into a fused multiply-add;
 /// - each electrode keeps its own generator, seeked to its own draws,
 ///   so the chunk edges do not move a draw;
 /// - the ramp counts carry across chunks per node.
 ///
-/// The scratch is a few stack arrays of one chunk (~20 KB); nothing but
-/// the output grows with the range.
+/// A large range is synthesized on several threads. The electrodes
+/// (numbered node-major) are cut into contiguous groups of about equal
+/// size, one per thread: as many as the process has cores, at most one
+/// per electrode, and no more than leave each group 7,680
+/// electrode-samples (one 2×4 pool quantum). The caller's thread
+/// synthesizes one group and waits for the others. Each group runs the
+/// same chunk loop over its own electrodes and recomputes the ramp of
+/// every node it touches from that node's count at `from`, so the split
+/// moves no bit. A range of less than two quanta (a swap fleet's burst,
+/// a training window) stays on the caller's thread.
+///
+/// Every output vector is allocated on the caller's thread before any
+/// group runs, at its final size; the scratch is a few stack arrays of
+/// one chunk (~20 KB) per group, so nothing but the output grows with
+/// the range.
 ///
 /// # Panics
 ///
 /// Panics on degenerate configs (as [`generate`]) or a range that is
 /// reversed or runs past the recording.
 pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteRecording {
+    let electrodes = config.nodes * config.electrodes_per_node;
+    let groups = match to.saturating_sub(from) * electrodes / MIN_GROUP {
+        0 | 1 => 1,
+        quanta => quanta.min(electrodes).min(cores()),
+    };
+    generate_in_groups(config, from, to, groups)
+}
+
+/// [`generate_range`] split into `groups` contiguous electrode groups
+/// (clamped to `1..=electrodes`), each but the last on a scoped thread
+/// of its own.
+fn generate_in_groups(
+    config: &IeegConfig,
+    from: usize,
+    to: usize,
+    groups: usize,
+) -> MultiSiteRecording {
     assert!(config.nodes >= 1, "need at least one node");
     assert!(config.electrodes_per_node >= 1, "need electrodes");
     assert!(config.duration_s > 0.0, "duration must be positive");
@@ -249,11 +297,10 @@ pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteR
     let seeded = ChaCha8Rng::seed_from_u64(config.seed);
     let electrode_words = (PREAMBLE_DRAWS + samples) as u128 * WORDS_PER_DRAW;
 
-    let mut nodes = Vec::with_capacity(config.nodes);
-    // Per node: consecutive seizure samples just before the next one
-    // synthesized, i.e. how far into the current event the ramp is.
+    let mut masks = Vec::with_capacity(config.nodes);
+    // Per node: consecutive seizure samples just before `from`, i.e. how
+    // far into the current event the ramp is.
     let mut into_event = Vec::with_capacity(config.nodes);
-    let mut electrodes = Vec::with_capacity(config.nodes * config.electrodes_per_node);
     for node in 0..config.nodes {
         // Seizure intervals `[lo, hi)` at this node.
         let mut runs = Vec::with_capacity(config.seizures.len());
@@ -264,9 +311,11 @@ pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteR
                 runs.push((lo, hi));
             }
         }
-        let seizure_mask: Vec<bool> = (from..to)
-            .map(|t| runs.iter().any(|&(lo, hi)| lo <= t && t < hi))
-            .collect();
+        masks.push(
+            (from..to)
+                .map(|t| runs.iter().any(|&(lo, hi)| lo <= t && t < hi))
+                .collect::<Vec<bool>>(),
+        );
         // Start of the mask run that sample `from - 1` is in (`from`
         // itself when that sample is not seizing).
         let mut run_start = from;
@@ -277,70 +326,138 @@ pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteR
             run_start = lo;
         }
         into_event.push(from - run_start);
-        nodes.push(NodeRecording {
-            channels: (0..config.electrodes_per_node)
-                .map(|_| Vec::with_capacity(to - from))
-                .collect(),
-            seizure: seizure_mask,
-        });
+    }
 
-        for e in 0..config.electrodes_per_node {
-            let preamble = (node * config.electrodes_per_node + e) as u128 * electrode_words;
+    let total = config.nodes * config.electrodes_per_node;
+    let mut electrodes: Vec<Electrode> = (0..total)
+        .map(|index| {
+            let preamble = index as u128 * electrode_words;
             let mut rng = seeded.clone();
             rng.set_word_pos(preamble);
             let phases = std::array::from_fn(|_| rng.gen::<f64>() * std::f64::consts::TAU);
             let jitter = rng.gen::<f64>() * 0.002;
             let amp = 0.8 + 0.4 * rng.gen::<f64>();
             rng.set_word_pos(preamble + (PREAMBLE_DRAWS + from) as u128 * WORDS_PER_DRAW);
-            electrodes.push(Electrode {
+            Electrode {
                 rng,
                 phases,
                 jitter,
                 amp,
-            });
+            }
+        })
+        .collect();
+    let mut channels: Vec<Vec<f64>> = (0..total).map(|_| Vec::with_capacity(to - from)).collect();
+    let range = Shared {
+        config,
+        from,
+        to,
+        masks: &masks,
+        into_event: &into_event,
+    };
+    let groups = groups.clamp(1, total);
+    if groups == 1 {
+        range.fill(0, &mut electrodes, &mut channels);
+    } else {
+        thread::scope(|scope| {
+            let (mut electrodes, mut channels) = (&mut electrodes[..], &mut channels[..]);
+            let mut first = 0;
+            for g in 1..groups {
+                let len = g * total / groups - first;
+                let (el, rest_el) = electrodes.split_at_mut(len);
+                let (out, rest_out) = channels.split_at_mut(len);
+                scope.spawn(move || range.fill(first, el, out));
+                (electrodes, channels, first) = (rest_el, rest_out, first + len);
+            }
+            range.fill(first, electrodes, channels);
+        });
+    }
+
+    let mut channels = channels.into_iter();
+    let nodes = masks
+        .into_iter()
+        .map(|seizure| NodeRecording {
+            channels: channels.by_ref().take(config.electrodes_per_node).collect(),
+            seizure,
+        })
+        .collect();
+    MultiSiteRecording {
+        nodes,
+        config: config.clone(),
+    }
+}
+
+/// What every electrode group of one [`generate_range`] call reads.
+#[derive(Clone, Copy)]
+struct Shared<'a> {
+    config: &'a IeegConfig,
+    from: usize,
+    to: usize,
+    /// Per node, the seizure mask over `from..to`.
+    masks: &'a [Vec<bool>],
+    /// Per node, the ramp count at `from`.
+    into_event: &'a [usize],
+}
+
+impl Shared<'_> {
+    /// Synthesizes electrodes `first..first + out.len()` (node-major over
+    /// the recording) into `out`, whose vectors hold `to - from` samples
+    /// of capacity: node by node, the chunk loop over that node's
+    /// electrodes in the group.
+    fn fill(self, first: usize, electrodes: &mut [Electrode], out: &mut [Vec<f64>]) {
+        let per_node = self.config.electrodes_per_node;
+        let (mut electrodes, mut out, mut index) = (electrodes, out, first);
+        while !out.is_empty() {
+            let node = index / per_node;
+            let len = ((node + 1) * per_node - index).min(out.len());
+            let (el, rest_el) = electrodes.split_at_mut(len);
+            let (ch, rest_out) = out.split_at_mut(len);
+            self.fill_node(node, el, ch);
+            (electrodes, out, index) = (rest_el, rest_out, index + len);
         }
     }
 
-    // Octave oscillator bank for 1/f background: 8–512 Hz. Sub-8 Hz
-    // background is deliberately absent so the 3 Hz ictal discharge is
-    // spectrally separable (as it is in real iEEG, where delta-band
-    // power surges at seizure onset).
-    let mut omegas = [0.0; OSCILLATORS];
-    let mut amps = [0.0; OSCILLATORS];
-    for (k, (omega, amp)) in omegas.iter_mut().zip(&mut amps).enumerate() {
-        let oct = FIRST_OCTAVE + k as i32;
-        *omega = std::f64::consts::TAU * 2f64.powi(oct);
-        *amp = 1.0 / (oct as f64).max(1.0);
-    }
-    let mut times = [0.0; CHUNK];
-    let mut args = [[0.0; CHUNK]; OSCILLATORS];
-    let mut ramps = [0.0; CHUNK];
-    let mut sums = [0.0; CHUNK];
-    for t0 in (from..to).step_by(CHUNK) {
-        let n = CHUNK.min(to - t0);
-        let times = &mut times[..n];
-        for (i, time_s) in times.iter_mut().enumerate() {
-            *time_s = (t0 + i) as f64 / SAMPLE_RATE_HZ;
+    /// The chunk loop over `electrodes` of `node`.
+    fn fill_node(self, node: usize, electrodes: &mut [Electrode], out: &mut [Vec<f64>]) {
+        let Self {
+            config, from, to, ..
+        } = self;
+        // Octave oscillator bank for 1/f background: 8–512 Hz. Sub-8 Hz
+        // background is deliberately absent so the 3 Hz ictal discharge
+        // is spectrally separable (as it is in real iEEG, where
+        // delta-band power surges at seizure onset).
+        let mut omegas = [0.0; OSCILLATORS];
+        let mut amps = [0.0; OSCILLATORS];
+        for (k, (omega, amp)) in omegas.iter_mut().zip(&mut amps).enumerate() {
+            let oct = FIRST_OCTAVE + k as i32;
+            *omega = std::f64::consts::TAU * 2f64.powi(oct);
+            *amp = 1.0 / (oct as f64).max(1.0);
         }
-        for (args, &omega) in args.iter_mut().zip(&omegas) {
-            for (arg, &time_s) in args[..n].iter_mut().zip(&*times) {
-                *arg = omega * time_s;
+        let mut into_event = self.into_event[node];
+        let mut times = [0.0; CHUNK];
+        let mut args = [[0.0; CHUNK]; OSCILLATORS];
+        let mut ramps = [0.0; CHUNK];
+        let mut sums = [0.0; CHUNK];
+        for t0 in (from..to).step_by(CHUNK) {
+            let n = CHUNK.min(to - t0);
+            let times = &mut times[..n];
+            for (i, time_s) in times.iter_mut().enumerate() {
+                *time_s = (t0 + i) as f64 / SAMPLE_RATE_HZ;
             }
-        }
-        let node_electrodes = electrodes.chunks_mut(config.electrodes_per_node);
-        for ((rec, into_event), electrodes) in
-            nodes.iter_mut().zip(&mut into_event).zip(node_electrodes)
-        {
-            let mask = &rec.seizure[t0 - from..t0 - from + n];
-            for (ramp, &seizing) in ramps[..n].iter_mut().zip(mask) {
-                if seizing {
-                    *ramp = (*into_event as f64 / RAMP_SAMPLES as f64).min(1.0);
-                    *into_event += 1;
-                } else {
-                    *into_event = 0;
+            for (args, &omega) in args.iter_mut().zip(&omegas) {
+                for (arg, &time_s) in args[..n].iter_mut().zip(&*times) {
+                    *arg = omega * time_s;
                 }
             }
-            for (ch, el) in rec.channels.iter_mut().zip(electrodes.iter_mut()) {
+            let mask = &self.masks[node][t0 - from..t0 - from + n];
+            for (ramp, &seizing) in ramps[..n].iter_mut().zip(mask) {
+                if seizing {
+                    *ramp = (into_event as f64 / RAMP_SAMPLES as f64).min(1.0);
+                    into_event += 1;
+                } else {
+                    into_event = 0;
+                }
+            }
+            for (ch, el) in out.iter_mut().zip(electrodes.iter_mut()) {
                 let sums = &mut sums[..n];
                 sums.fill(0.0);
                 for ((args, &amp), &phase) in args.iter().zip(&amps).zip(&el.phases) {
@@ -359,10 +476,6 @@ pub fn generate_range(config: &IeegConfig, from: usize, to: usize) -> MultiSiteR
                 ch.extend_from_slice(sums);
             }
         }
-    }
-    MultiSiteRecording {
-        nodes,
-        config: config.clone(),
     }
 }
 
@@ -478,6 +591,123 @@ mod tests {
         assert!(full.nodes[0].seizure[9_000..11_400].iter().all(|&s| s));
         for (from, to) in [(10_500, 12_000), (10_200, 10_300), (11_399, 11_401)] {
             assert_range_is_slice(&cfg, &full, from, to);
+        }
+    }
+
+    /// Samples `from..to` one at a time, the oscillators summed in order
+    /// per sample and the ramp counted from sample 0: the per-sample
+    /// generator the chunked kernel replaced.
+    fn per_sample(cfg: &IeegConfig, from: usize, to: usize) -> MultiSiteRecording {
+        let samples = num_samples(cfg);
+        let electrode_words = (9 + samples) as u128 * 2;
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let nodes = (0..cfg.nodes)
+            .map(|node| {
+                let seizing = |t: usize| {
+                    cfg.seizures.iter().any(|ev| {
+                        ev.onset_at(node).is_some_and(|onset| {
+                            let hi = ((onset + ev.duration_s) * SAMPLE_RATE_HZ) as usize;
+                            (onset * SAMPLE_RATE_HZ) as usize <= t && t < hi.min(samples)
+                        })
+                    })
+                };
+                let mut run = 0;
+                let mut ramps = Vec::new();
+                for t in 0..to {
+                    if t >= from {
+                        ramps.push(seizing(t).then(|| (run as f64 / 3_000.0).min(1.0)));
+                    }
+                    run = if seizing(t) { run + 1 } else { 0 };
+                }
+                let channels = (0..cfg.electrodes_per_node)
+                    .map(|e| {
+                        let preamble =
+                            (node * cfg.electrodes_per_node + e) as u128 * electrode_words;
+                        rng.set_word_pos(preamble);
+                        let phases: Vec<f64> = (0..7)
+                            .map(|_| rng.gen::<f64>() * std::f64::consts::TAU)
+                            .collect();
+                        let jitter = rng.gen::<f64>() * 0.002;
+                        let amp = 0.8 + 0.4 * rng.gen::<f64>();
+                        rng.set_word_pos(preamble + (9 + from) as u128 * 2);
+                        (from..to)
+                            .zip(&ramps)
+                            .map(|(t, ramp)| {
+                                let time_s = t as f64 / SAMPLE_RATE_HZ;
+                                let mut v = 0.0;
+                                for (k, phase) in phases.iter().enumerate() {
+                                    let oct = 3 + k as i32;
+                                    let omega = std::f64::consts::TAU * 2f64.powi(oct);
+                                    v += (1.0 / oct as f64) * (omega * time_s + phase).sin();
+                                }
+                                v *= cfg.background_amp / 2.0;
+                                v += cfg.background_amp * 0.2 * (rng.gen::<f64>() - 0.5);
+                                if let Some(ramp) = ramp {
+                                    let phase = ((time_s + jitter) * cfg.seizure_hz).fract();
+                                    v += cfg.seizure_amp * amp * ramp * spike_wave(phase);
+                                }
+                                v
+                            })
+                            .collect()
+                    })
+                    .collect();
+                NodeRecording {
+                    channels,
+                    seizure: ramps.iter().map(Option::is_some).collect(),
+                }
+            })
+            .collect();
+        MultiSiteRecording {
+            nodes,
+            config: cfg.clone(),
+        }
+    }
+
+    /// Every sample bit and mask bit of `got` equals `want`'s.
+    fn assert_same_bits(got: &MultiSiteRecording, want: &MultiSiteRecording, what: &str) {
+        assert_eq!(got.nodes.len(), want.nodes.len(), "{what}");
+        for (n, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            assert_eq!(g.seizure, w.seizure, "{what}: node {n} mask");
+            assert_eq!(g.channels.len(), w.channels.len(), "{what}: node {n}");
+            for (e, (gc, wc)) in g.channels.iter().zip(&w.channels).enumerate() {
+                let same = gc.len() == wc.len()
+                    && gc.iter().zip(wc).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{what}: node {n} electrode {e}");
+            }
+        }
+    }
+
+    /// The electrode groups a large range is split into, driven directly
+    /// at 1, 2, 3 and 7 groups: at 2×4 three groups are uneven (2, 3, 3
+    /// electrodes) and one straddles the node boundary, and seven leave
+    /// groups of one and two; at 1×96 seven groups are uneven. Over a
+    /// range that starts mid-ramp at both nodes, one whose start is
+    /// mid-ramp at node 0 and before onset at node 1, and one spanning
+    /// the whole seizure, every split equals one group and the
+    /// per-sample oracle, bit for bit.
+    #[test]
+    fn split_groups_match_one_group_and_the_oracle() {
+        for (nodes, electrodes) in [(2, 4), (1, 96)] {
+            // Onset at sample 3,000 at node 0 and 3,300 at node 1; the
+            // event ends 3,000 samples later at each.
+            let cfg = IeegConfig {
+                nodes,
+                electrodes_per_node: electrodes,
+                duration_s: 0.3,
+                seizures: vec![SeizureEvent::uniform(0.1, 0.1, 0, nodes, 0.01)],
+                seed: 0x5eed_0024,
+                ..Default::default()
+            };
+            for (from, to) in [(3_400, 3_900), (3_100, 4_000), (2_500, 7_000)] {
+                let oracle = per_sample(&cfg, from, to);
+                let one = generate_in_groups(&cfg, from, to, 1);
+                assert_same_bits(&one, &oracle, &format!("{nodes}x{electrodes} one group"));
+                for groups in [2, 3, 7] {
+                    let split = generate_in_groups(&cfg, from, to, groups);
+                    let what = format!("{nodes}x{electrodes} {groups} groups {from}..{to}");
+                    assert_same_bits(&split, &one, &what);
+                }
+            }
         }
     }
 

@@ -27,7 +27,14 @@ use std::time::{Duration, Instant};
 /// Fleet configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
-    /// Worker threads in the pool.
+    /// Worker threads in the pool, which serve the windows. Large
+    /// syntheses on the caller's thread (a closed batch's
+    /// `Session::new` at [`Fleet::submit`], the rebuilds of
+    /// [`Fleet::recover`]) also use idle cores, whatever this number:
+    /// `ieeg::generate_range` splits a range of more than one 2×4
+    /// quantum's electrode-samples over the host's cores. Pool jobs
+    /// synthesize one quantum at a time, so at 2×4 they stay on their
+    /// worker.
     pub workers: usize,
     /// Windows a session advances per scheduling quantum before it
     /// yields its worker.

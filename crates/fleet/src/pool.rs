@@ -280,6 +280,21 @@ fn set_fine_timer_slack() {
 /// failure). Beside a wall-clock span of the same thread, it tells a
 /// slow piece of work from one that was preempted.
 pub(crate) fn thread_cpu_us() -> Option<u64> {
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    cpu_clock_ns(CLOCK_THREAD_CPUTIME_ID).map(|ns| ns / 1_000)
+}
+
+/// CPU time every thread of this process has run, in ns, from
+/// `CLOCK_PROCESS_CPUTIME_ID` (Linux only; `None` elsewhere or on
+/// failure). Beside a wall-clock span, it counts the work of helper
+/// threads that the span overlaps.
+pub fn process_cpu_ns() -> Option<u64> {
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    cpu_clock_ns(CLOCK_PROCESS_CPUTIME_ID)
+}
+
+/// Reads the CPU-time clock `clock` in ns.
+fn cpu_clock_ns(clock: i32) -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         use std::ffi::{c_int, c_long};
@@ -291,20 +306,22 @@ pub(crate) fn thread_cpu_us() -> Option<u64> {
         extern "C" {
             fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
         }
-        const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
         let mut ts = Timespec {
             tv_sec: 0,
             tv_nsec: 0,
         };
         // SAFETY: `ts` is a live, writable `struct timespec` (two C
         // longs on Linux); clock_gettime writes only it; std links libc.
-        if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
+        if unsafe { clock_gettime(clock, &mut ts) } != 0 {
             return None;
         }
-        Some(u64::try_from(ts.tv_sec).ok()? * 1_000_000 + u64::try_from(ts.tv_nsec).ok()? / 1_000)
+        Some(u64::try_from(ts.tv_sec).ok()? * 1_000_000_000 + u64::try_from(ts.tv_nsec).ok()?)
     }
     #[cfg(not(target_os = "linux"))]
-    None
+    {
+        let _ = clock;
+        None
+    }
 }
 
 fn worker_loop<J: WorkUnit>(pool: &Pool<J>, me: usize) {

@@ -247,10 +247,17 @@ pub fn dcomp_decompress(compressed: &[u8]) -> Option<Vec<u8>> {
     dcomp_decompress_into(compressed, &mut out).then_some(out)
 }
 
+/// Longest output [`dcomp_decompress_into`] decodes: a stream whose runs
+/// add up to more is refused as malformed (16 MiB).
+pub const MAX_DCOMP_OUTPUT: usize = 1 << 24;
+
 /// [`dcomp_decompress`] written into a caller-provided buffer (cleared
 /// first). Returns `false` — leaving `out` in an unspecified cleared-or-
 /// partial state — where the allocating form returns `None`; byte-identical
-/// output otherwise, and allocation-free once `out` is warm.
+/// output otherwise, and allocation-free once `out` is warm. A run is
+/// checked against [`MAX_DCOMP_OUTPUT`] before it is written, so `out`
+/// never grows past twice what it holds, and a refused run allocates
+/// nothing.
 pub fn dcomp_decompress_into(compressed: &[u8], out: &mut Vec<u8>) -> bool {
     out.clear();
     if compressed.len() < 2 {
@@ -277,10 +284,11 @@ pub fn dcomp_decompress_into(compressed: &[u8], out: &mut Vec<u8>) -> bool {
         let Some(run) = reader.read_gamma() else {
             return false;
         };
-        out.extend(std::iter::repeat_n(*value, run as usize));
-        if out.len() > 1 << 24 {
+        let run = run as usize;
+        if run > MAX_DCOMP_OUTPUT - out.len() {
             return false; // malformed stream guard
         }
+        out.extend(std::iter::repeat_n(*value, run));
     }
 }
 
